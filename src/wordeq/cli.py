@@ -188,17 +188,12 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         return EXIT_OK if verdict else EXIT_NEGATIVE
     if args.mode == "decompose":
         two = find_acyclic_decomposition(core, UNIVERSE)
-        if two is None:
-            print("cyclic")
-            return EXIT_NEGATIVE
-        print(_fmt_two(two))
-        for z, block in blocks.items():
-            print(f"{z} in /{block}/")
-        return EXIT_OK
-    # k-local
-    two = k_ary_local_decomposition(core, args.k, UNIVERSE)
+        refusal = "cyclic"
+    else:
+        two = k_ary_local_decomposition(core, args.k, UNIVERSE)
+        refusal = f"not {args.k}-ary local"
     if two is None:
-        print(f"not {args.k}-ary local")
+        print(refusal)
         return EXIT_NEGATIVE
     print(_fmt_two(two))
     for z, block in blocks.items():

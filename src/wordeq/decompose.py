@@ -31,13 +31,15 @@ from .model import (
 Interval = tuple[int, int]  # 1-based, inclusive
 
 
-def terminal_free_core(p: Pattern) -> tuple[Pattern, dict[Variable, str]]:
+def terminal_free_core(p: Pattern, fresh: Optional[FreshVars] = None) -> tuple[Pattern, dict[Variable, str]]:
     """Replace each maximal terminal block with a fresh variable.
 
     Returns the core pattern and the block map; callers re-impose the blocks
-    as regular constraints.
+    as regular constraints.  ``fresh`` names the block variables; by default
+    the names avoid the pattern's own variables.
     """
-    fresh = FreshVars(v.name for v in vars_of(p))
+    if fresh is None:
+        fresh = FreshVars(v.name for v in vars_of(p))
     core: list[Variable] = []
     blocks: dict[Variable, str] = {}
     run: list[str] = []
@@ -71,17 +73,22 @@ class _Intervals:
         self.pat = tuple(pat)
         n = len(pat)
         self.n = n
-        ids: dict[tuple[Variable, ...], int] = {}
         self.fid: dict[Interval, int] = {}
         self.mask: dict[Interval, int] = {}
-        var_bit = {v: 1 << i for i, v in enumerate(dict.fromkeys(pat))}
+        number: dict[Variable, int] = {}
+        codes = [number.setdefault(v, len(number)) for v in pat]
+        # A factor's id is a node of the trie of all factors: the factor one
+        # symbol shorter, extended by its last symbol.
+        trie: dict[tuple[int, int], int] = {}
         for i in range(1, n + 1):
             m = 0
+            f = -1
             for j in range(i, n + 1):
-                m |= var_bit[pat[j - 1]]
+                c = codes[j - 1]
+                m |= 1 << c
                 self.mask[(i, j)] = m
-                key = self.pat[i - 1:j]
-                self.fid[(i, j)] = ids.setdefault(key, len(ids))
+                f = trie.setdefault((f, c), len(trie))
+                self.fid[(i, j)] = f
 
     def factor(self, iv: Interval) -> tuple[Variable, ...]:
         return self.pat[iv[0] - 1:iv[1]]
@@ -177,45 +184,33 @@ def is_acyclic_pattern(p: Pattern) -> bool:
 # --- carving a concatenation tree out of the derivation graph -----------------
 
 
-class _TreeNode:
-    __slots__ = ("iv", "children", "committed")
-
-    def __init__(self, iv: Interval):
-        self.iv = iv
-        self.children: list[_TreeNode] = []
-        self.committed: Optional[int] = None
-
-
-def _derive_tree(deriv: _Derivation) -> Optional[_TreeNode]:
+def _derive_bracketing(deriv: _Derivation) -> Optional[Bracketing]:
     """Top-down edge selection with the three guarded cases.
 
     When one sibling is justified by an edge child of the other, that edge is
-    committed so the sibling is expanded the same way later.
+    committed so the sibling is expanded the same way.
     """
     ivs = deriv.ivs
-    full = (1, ivs.n)
-    if full not in deriv.nodes:
-        return None
-    root = _TreeNode(full)
-    work = [root]
-    while work:
-        node = work.pop()
-        i, k = node.iv
+
+    def build(i: int, k: int, committed: Optional[int]) -> Optional[Bracketing]:
         if i == k:
-            continue
+            return BLeaf(ivs.pat[i - 1])
         # A committed split must still run the guard logic so that sharing
         # constraints propagate to its own children.
-        chosen = _choose_split(deriv, i, k, forced=node.committed)
+        chosen = _choose_split(deriv, i, k, forced=committed)
         if chosen is None:
             return None
         j, commitment = chosen
-        left, right = _TreeNode((i, j)), _TreeNode((j + 1, k))
-        if commitment is not None:
-            side, x = commitment
-            (left if side == "left" else right).committed = x
-        node.children = [left, right]
-        work.extend([right, left])
-    return root
+        side, x = commitment if commitment is not None else (None, None)
+        left = build(i, j, x if side == "left" else None)
+        right = build(j + 1, k, x if side == "right" else None)
+        if left is None or right is None:
+            return None
+        return BNode((left, right))
+
+    if (1, ivs.n) not in deriv.nodes:
+        return None
+    return build(1, ivs.n, None)
 
 
 _Side = str
@@ -238,103 +233,100 @@ def _choose_split(deriv: _Derivation, i: int, k: int,
     return None
 
 
-def _label_and_prune(
-    ivs: _Intervals,
-    root: _TreeNode,
-    root_var: Variable,
-    fresh: FreshVars,
-) -> ConcatenationTree:
-    """Label interval nodes (equal factors share a label) and prune redundancies."""
+def _expanded(labels: Sequence[Variable], children: Sequence[tuple[int, ...]]) -> list[int]:
+    """The non-leaf nodes that keep their children, innermost first, then
+    left to right.  Of the non-leaf nodes carrying one label only the
+    deepest, leftmost on ties, keeps them; the others lose their subtrees.
+
+    Nodes are numbered in pre-order from the root 0, and nodes sharing a
+    label span equal factors, so none of them lies below another.  Settling
+    labels by decreasing width decides every ancestor before its
+    descendants, so one pass suffices.
+    """
+    n = len(labels)
+    depth = [0] * n
+    groups: dict[Variable, list[int]] = {}
+    for v in range(n):
+        if children[v]:
+            groups.setdefault(labels[v], []).append(v)
+            for c in children[v]:
+                depth[c] = depth[v] + 1
+    keep = [v for v in range(n) if children[v]]
+    clashes = [vs for vs in groups.values() if len(vs) > 1]
+    if clashes:
+        end = list(range(1, n + 1))  # one past the last node of each subtree
+        width = [1] * n              # leaves below each node
+        for v in range(n - 1, -1, -1):
+            if children[v]:
+                end[v] = end[children[v][-1]]
+                width[v] = sum(width[c] for c in children[v])
+        dead = [False] * n
+        cut: set[int] = set()
+        for vs in sorted(clashes, key=lambda vs: -width[vs[0]]):
+            alive = [v for v in vs if not dead[v]]
+            if len(alive) < 2:
+                continue
+            keeper = max(alive, key=lambda v: (depth[v], -v))
+            for v in alive:
+                if v != keeper:
+                    cut.add(v)
+                    dead[v + 1:end[v]] = [True] * (end[v] - v - 1)
+        keep = [v for v in keep if not dead[v] and v not in cut]
+    return sorted(keep, key=lambda v: (-depth[v], v))
+
+
+def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars,
+                      ivs: Optional[_Intervals] = None) -> TwoFcCq:
+    """The decomposition of a bracketing that a search found.
+
+    Nodes spanning equal factors share one introduced variable, named in
+    pre-order; of the nodes carrying one label only the deepest, leftmost
+    keeps its children, and the equations are read off innermost first.
+    ``ivs`` is the search's table for the bracketing's pattern; without it
+    one is built.
+    """
+    if isinstance(b, BLeaf):
+        return TwoFcCq(head=(), equations=(SmallEquation(root, (b.var,)),), introduced=frozenset())
+    if ivs is None:
+        ivs = _Intervals(bracketing_pattern(b))
+    fid = ivs.fid
     labels: list[Variable] = []
-    children: list[list[int]] = []
-    by_fid: dict[int, Variable] = {}
+    fids: list[int] = []
+    children: list[tuple[int, ...]] = []
 
-    def label_for(node: _TreeNode) -> Variable:
-        i, j = node.iv
-        if node is root:
-            return root_var
-        if i == j:
-            return ivs.pat[i - 1]
-        fid = ivs.fid[node.iv]
-        if fid not in by_fid:
-            by_fid[fid] = fresh.fresh("z")
-        return by_fid[fid]
-
-    def build(node: _TreeNode) -> int:
+    def build(node: Bracketing, start: int) -> int:
+        """Add the node and its subtree in pre-order; returns the position
+        after the last one it spans."""
         idx = len(labels)
-        labels.append(label_for(node))
-        children.append([])
-        for c in node.children:
-            ci = build(c)
-            children[idx].append(ci)
-        return idx
+        if isinstance(node, BLeaf):
+            labels.append(node.var)
+            fids.append(-1)
+            children.append(())
+            return start + 1
+        labels.append(root)
+        fids.append(-1)
+        children.append(())
+        kids = []
+        pos = start
+        for c in node.children:  # type: ignore[union-attr]
+            kids.append(len(labels))
+            pos = build(c, pos)
+        children[idx] = tuple(kids)
+        fids[idx] = fid[(start, pos - 1)]
+        return pos
 
-    build(root)
-    return prune_tree(labels, [tuple(c) for c in children], 0)
-
-
-def prune_tree(labels: Sequence[Variable], children: Sequence[tuple[int, ...]], root: int) -> ConcatenationTree:
-    """Remove descendants of redundant nodes until, for every label, at most
-    one non-leaf node carries it: the deepest one, leftmost on ties."""
-    kids: dict[int, tuple[int, ...]] = {}
-    depth: dict[int, int] = {root: 0}
-    order: dict[int, int] = {}
-
-    def visit(v: int) -> None:
-        order[v] = len(order)
-        kids[v] = children[v]
-        for c in children[v]:
-            depth[c] = depth[v] + 1
-            visit(c)
-
-    visit(root)
-
-    while True:
-        groups: dict[Variable, list[int]] = {}
-        for v in list(kids):
-            if kids[v]:
-                groups.setdefault(labels[v], []).append(v)
-        clash = [vs for vs in groups.values() if len(vs) > 1]
-        if not clash:
-            break
-        for vs in clash:
-            keeper = max(vs, key=lambda v: (depth[v], -order[v]))
-            for v in vs:
-                if v == keeper or v not in kids:
-                    continue
-                stack = list(kids[v])
-                kids[v] = ()
-                while stack:
-                    w = stack.pop()
-                    stack.extend(kids.pop(w, ()))
-
-    live = sorted(kids, key=lambda v: order[v])
-    remap = {v: i for i, v in enumerate(live)}
-    return ConcatenationTree(
-        labels=tuple(labels[v] for v in live),
-        children=tuple(tuple(remap[c] for c in kids[v]) for v in live),
-        root=remap[root],
-    )
-
-
-def tree_to_query(tree: ConcatenationTree, root_var: Variable, original: Iterable[Variable]) -> TwoFcCq:
-    """Read the decomposition off a pruned concatenation tree, innermost first."""
-    depth = [0] * len(tree.labels)
-    order = [tree.root]
-    for v in order:
-        for c in tree.children[v]:
-            depth[c] = depth[v] + 1
-            order.append(c)
-    pos = {v: idx for idx, v in enumerate(order)}
-    internal = [v for v in range(len(tree.labels)) if tree.children[v]]
-    internal.sort(key=lambda v: (-depth[v], pos[v]))
-    equations = tuple(
-        SmallEquation(tree.labels[v], tuple(tree.labels[c] for c in tree.children[v]))
-        for v in internal
-    )
-    keep = set(original) | {root_var}
-    introduced = frozenset(l for l in tree.labels if l not in keep)
-    return TwoFcCq(head=(), equations=equations, introduced=introduced)
+    build(b, 1)
+    by_fid: dict[int, Variable] = {}
+    for idx in range(1, len(labels)):
+        f = fids[idx]
+        if f >= 0:
+            if f not in by_fid:
+                by_fid[f] = fresh.fresh("z")
+            labels[idx] = by_fid[f]
+    equations = tuple(SmallEquation(labels[v], tuple(labels[c] for c in children[v]))
+                      for v in _expanded(labels, children))
+    # The root is the only node at depth 0, so its equation comes last.
+    return TwoFcCq(head=(), equations=equations, introduced=frozenset(eq.lhs for eq in equations[:-1]))
 
 
 def find_acyclic_decomposition(p: Pattern, root: Variable = UNIVERSE,
@@ -343,17 +335,13 @@ def find_acyclic_decomposition(p: Pattern, root: Variable = UNIVERSE,
     pat = _require_terminal_free(p)
     if not pat:
         raise ValueError("the empty pattern has no bracketing")
+    found = _constrained_search(pat, ())
+    if found is None:
+        return None
     if fresh is None:
         fresh = FreshVars(v.name for v in vars_of(p) | {root})
-    if len(pat) == 1:
-        return TwoFcCq(head=(), equations=(SmallEquation(root, (pat[0],)),), introduced=frozenset())
-    ivs = _Intervals(pat)
-    deriv = _solve_binary(ivs)
-    node = _derive_tree(deriv)
-    if node is None:
-        return None
-    tree = _label_and_prune(ivs, node, root, fresh)
-    return tree_to_query(tree, root, vars_of(p))
+    b, ivs = found
+    return _decomposition_of(b, root, fresh, ivs)
 
 
 # --- bracketings ---------------------------------------------------------------
@@ -407,7 +395,13 @@ def concat_tree_of(two: TwoFcCq, root_var: Variable) -> ConcatenationTree:
         return idx
 
     build(root_var, root_eq)
-    return prune_tree(labels, children, 0)
+    keep = set(_expanded(labels, children))
+    live = sorted({0}.union(*(children[v] for v in keep)))
+    at = {v: i for i, v in enumerate(live)}
+    return ConcatenationTree(
+        labels=tuple(labels[v] for v in live),
+        children=tuple(tuple(at[c] for c in children[v]) if v in keep else () for v in live),
+    )
 
 
 def is_acyclic_bracketing(b: Bracketing) -> bool:
@@ -434,6 +428,14 @@ def constrained_acyclic_bracketing(p: Pattern, pairs: Iterable[frozenset[Variabl
     required pair or neither occurs in any pair; a paired variable may only be
     concatenated to a sub-bracketing whose variable set is exactly the pair.
     """
+    found = _constrained_search(p, pairs)
+    return None if found is None else found[0]
+
+
+def _constrained_search(p: Pattern, pairs: Iterable[frozenset[Variable]]
+                        ) -> Optional[tuple[Bracketing, _Intervals]]:
+    """The bracketing of ``constrained_acyclic_bracketing`` plus the interval
+    table it was found in."""
     pat = _require_terminal_free(p)
     pair_set = {frozenset(c) for c in pairs}
     for c in pair_set:
@@ -452,42 +454,34 @@ def constrained_acyclic_bracketing(p: Pattern, pairs: Iterable[frozenset[Variabl
         return None
     if not pat:
         return None
-    if len(pat) == 1:
-        return BLeaf(pat[0]) if not pair_set else None
-
     ivs = _Intervals(pat)
-    pair_vars = {frozenset(pr) for pr in pair_set}
-
-    def base_pair_ok(i: int) -> bool:
-        a, b = ivs.pat[i - 1], ivs.pat[i]
-        if frozenset((a, b)) in pair_vars:
-            return True
-        return a not in pool and b not in pool
-
-    def extra_check(i: int, j: int, k: int) -> bool:
-        def side_ok(single: Variable, other: Interval) -> bool:
-            if single not in pool:
+    if len(pat) == 1:
+        return (BLeaf(pat[0]), ivs) if not pair_set else None
+    if not pair_set:
+        deriv = _solve_binary(ivs)
+    else:
+        def base_pair_ok(i: int) -> bool:
+            a, b = ivs.pat[i - 1], ivs.pat[i]
+            if frozenset((a, b)) in pair_set:
                 return True
-            sibling_vars = set(ivs.factor(other))
-            return any(single in pr and sibling_vars == set(pr) for pr in pair_set)
+            return a not in pool and b not in pool
 
-        if i == j:
-            return side_ok(ivs.pat[i - 1], (j + 1, k))
-        if j + 1 == k:
-            return side_ok(ivs.pat[k - 1], (i, j))
-        return True
+        def extra_check(i: int, j: int, k: int) -> bool:
+            def side_ok(single: Variable, other: Interval) -> bool:
+                if single not in pool:
+                    return True
+                sibling_vars = set(ivs.factor(other))
+                return any(single in pr and sibling_vars == set(pr) for pr in pair_set)
 
-    deriv = _solve_binary(ivs, base_pair_ok=base_pair_ok, extra_check=extra_check)
-    node = _derive_tree(deriv)
-    if node is None:
-        return None
-    return _node_to_bracketing(node, ivs)
+            if i == j:
+                return side_ok(ivs.pat[i - 1], (j + 1, k))
+            if j + 1 == k:
+                return side_ok(ivs.pat[k - 1], (i, j))
+            return True
 
-
-def _node_to_bracketing(node: _TreeNode, ivs: _Intervals) -> Bracketing:
-    if node.iv[0] == node.iv[1]:
-        return BLeaf(ivs.pat[node.iv[0] - 1])
-    return BNode(tuple(_node_to_bracketing(c, ivs) for c in node.children))
+        deriv = _solve_binary(ivs, base_pair_ok=base_pair_ok, extra_check=extra_check)
+    b = _derive_bracketing(deriv)
+    return None if b is None else (b, ivs)
 
 
 def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[Variable]],
@@ -518,14 +512,15 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
         # The root atom is the only one containing the left side, and it has
         # two right slots: both partners must be exactly the right side.
         if len(pat) == 2 and set(pat) == set(partners):
-            return TwoFcCq(head=(), equations=(SmallEquation(eq.lhs, tuple(pat)),),
-                           introduced=frozenset())
+            return _decomposition_of(BNode((BLeaf(pat[0]), BLeaf(pat[1]))), eq.lhs, fresh)
         return None
 
     if not partners:
-        b = constrained_acyclic_bracketing(eq.rhs, rhs_pairs)
-        return None if b is None else decompose_bracketing(b, eq.lhs, fresh)
-
+        found = _constrained_search(pat, rhs_pairs)
+        if found is None:
+            return None
+        b, ivs = found
+        return _decomposition_of(b, eq.lhs, fresh, ivs)
     (y,) = partners
     i = 0
     while i < len(pat) and pat[i] == y:
@@ -566,7 +561,7 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
         node = BNode((BLeaf(y), node))
     for _ in range(suffix):
         node = BNode((node, BLeaf(y)))
-    return decompose_bracketing(node, eq.lhs, fresh)
+    return _decomposition_of(node, eq.lhs, fresh)
 
 
 # --- k-ary decompositions --------------------------------------------------------
@@ -619,8 +614,6 @@ def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
         raise ValueError("the empty pattern has no bracketing")
     if fresh is None:
         fresh = FreshVars(v.name for v in vars_of(p) | {root})
-    if len(pat) == 1:
-        return TwoFcCq(head=(), equations=(SmallEquation(root, (pat[0],)),), introduced=frozenset())
 
     ivs = _Intervals(pat)
     n = ivs.n
@@ -650,16 +643,7 @@ def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
     tree = _derive_kary(ivs, tuples, (1, n), None, {})
     if tree is None:
         return None
-    labeled = _label_and_prune(ivs, tree, root, fresh)
-    return tree_to_query(labeled, root, vars_of(p))
-
-
-class _KNode:
-    __slots__ = ("iv", "children")
-
-    def __init__(self, iv: Interval, children: Sequence["_KNode"] = ()):
-        self.iv = iv
-        self.children = list(children)
+    return _decomposition_of(tree, root, fresh, ivs)
 
 
 def _derive_kary(
@@ -668,20 +652,20 @@ def _derive_kary(
     iv: Interval,
     forced: Optional[tuple[Interval, ...]],
     memo: dict,
-) -> Optional[_KNode]:
+) -> Optional[Bracketing]:
     """Backtracking tree derivation: pick a tuple per interval plus witness
     commitments for overlapping sibling pairs, revisiting earlier choices when
     a committed subtree cannot be completed (the greedy order can dead-end)."""
     if iv[0] == iv[1]:
-        return _KNode(iv)
+        return BLeaf(ivs.pat[iv[0] - 1])
     key = (iv, forced)
     if key in memo:
         return memo[key]
-    result: Optional[_KNode] = None
+    result: Optional[Bracketing] = None
     candidates = (forced,) if forced is not None else tuple(tuples.get(iv, ()))
     for comp in candidates:
         for commitments in _kary_commitments(ivs, tuples, comp):
-            kids: list[_KNode] = []
+            kids: list[Bracketing] = []
             ok = True
             for c in comp:
                 sub = _derive_kary(ivs, tuples, c, commitments.get(c), memo)
@@ -690,7 +674,7 @@ def _derive_kary(
                     break
                 kids.append(sub)
             if ok:
-                result = _KNode(iv, kids)
+                result = BNode(tuple(kids))
                 break
         if result is not None:
             break
@@ -735,5 +719,3 @@ def _kary_commitments(
                     del commitments[side]
 
     yield from rec(0, {})
-
-

@@ -259,17 +259,3 @@ def check_universality(q: FcCq, alphabet: Alphabet) -> bool:
     if not member(""):
         return False
     return any(member(a) for a in alphabet)
-
-
-def check_k_ambiguous_bounded(q: FcCq, k: int, max_len: int, alphabet: Alphabet) -> bool:
-    """No word of length <= max_len yields more than k head assignments.
-
-    A bounded refutation search: True means no counterexample up to the bound.
-    """
-    words = [""]
-    for w in words:
-        if len(brute_evaluate(q, w)) > k:
-            return False
-        if len(w) < max_len:
-            words.extend(w + a for a in alphabet)
-    return True

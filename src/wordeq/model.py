@@ -115,9 +115,6 @@ class FreshVars:
         self._used.add(UNIVERSE_NAME)
         self._counters: dict[str, int] = {}
 
-    def reserve(self, names: Iterable[str]) -> None:
-        self._used.update(names)
-
     def fresh(self, base: str = "z") -> Variable:
         n = self._counters.get(base, 0)
         while True:
@@ -134,10 +131,6 @@ class FreshVars:
 # one-character strings.
 PatternItem = Union[Variable, str]
 Pattern = tuple[PatternItem, ...]
-
-
-def pattern(*items: PatternItem) -> Pattern:
-    return tuple(items)
 
 
 def vars_of(p: Pattern) -> set[Variable]:
@@ -160,13 +153,6 @@ def apply_substitution(p: Pattern, subst: dict[Variable, str]) -> str:
         else:
             out.append(it)
     return "".join(out)
-
-
-def pattern_to_text(p: Pattern) -> str:
-    """Compact display form used in diagnostics (not the query syntax)."""
-    if not p:
-        return "''"
-    return " ".join(it.name if isinstance(it, Variable) else repr(it) for it in p)
 
 
 # --- regular expressions ---------------------------------------------------
@@ -461,13 +447,6 @@ class ConcatenationTree:
             for c in kids:
                 seen.add(self.labels[c])
         return all(self.is_x_localized(x) for x in seen)
-
-    def atoms(self) -> list[SmallEquation]:
-        out = []
-        for v, kids in enumerate(self.children):
-            if kids:
-                out.append(SmallEquation(self.labels[v], tuple(self.labels[c] for c in kids)))
-        return out
 
 
 # --- join trees and the mark-and-absorb algorithm ----------------------------

@@ -94,7 +94,3 @@ def thompson(ast: RegexAst) -> Nfa:
     nfa.eps[nfa.start].append(s)
     nfa.eps[t].append(nfa.accept)
     return nfa
-
-
-def regex_matches(ast: RegexAst, word: Sequence[Hashable]) -> bool:
-    return thompson(ast).accepts(word)

@@ -11,6 +11,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .model import (
+    Alphabet,
     BLeaf,
     BNode,
     Bracketing,
@@ -134,6 +135,20 @@ def brute_evaluate(q: FcCq, w: str) -> set[tuple[str, ...]]:
 
     solve(0, {})
     return results
+
+
+def check_k_ambiguous_bounded(q: FcCq, k: int, max_len: int, alphabet: Alphabet) -> bool:
+    """No word of length <= max_len yields more than k head assignments.
+
+    A bounded refutation search: True means no counterexample up to the bound.
+    """
+    words = [""]
+    for w in words:
+        if len(brute_evaluate(q, w)) > k:
+            return False
+        if len(w) < max_len:
+            words.extend(w + a for a in alphabet)
+    return True
 
 
 def _resolve_universe(p: Pattern, w: str) -> Pattern:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .decompose import decompose_atom_with_constraints, is_acyclic_pattern
+from .decompose import decompose_atom_with_constraints, is_acyclic_pattern, terminal_free_core
 from .model import (
     CyclicQueryError,
     FcCq,
@@ -20,8 +20,8 @@ from .model import (
     Variable,
     WordEquation,
     gyo,
+    is_terminal_free,
     regex_word,
-    vars_of,
     verify_join_tree,
 )
 
@@ -59,26 +59,11 @@ def normalize(q: FcCq) -> NormalizedQuery:
 
     # Terminal blocks become fresh variables pinned by regular constraints.
     for idx, eq in enumerate(equations):
-        if all(isinstance(it, Variable) for it in eq.rhs):
+        if is_terminal_free(eq.rhs):
             continue
-        new_rhs: list[Variable] = []
-        run: list[str] = []
-
-        def flush() -> None:
-            if run:
-                z = fresh.fresh("t")
-                constraints.append(RegularConstraint(z, regex_word("".join(run))))
-                new_rhs.append(z)
-                run.clear()
-
-        for it in eq.rhs:
-            if isinstance(it, Variable):
-                flush()
-                new_rhs.append(it)
-            else:
-                run.append(it)
-        flush()
-        equations[idx] = WordEquation(eq.lhs, tuple(new_rhs))
+        core, blocks = terminal_free_core(eq.rhs, fresh)
+        constraints.extend(RegularConstraint(z, regex_word(block)) for z, block in blocks.items())
+        equations[idx] = WordEquation(eq.lhs, core)
         trace.append(f"terminal blocks of {eq.lhs} = {_shown(eq.rhs)} replaced by fresh variables")
 
     for _ in range(4 * len(equations) * len(equations) + 8):
@@ -91,20 +76,32 @@ def normalize(q: FcCq) -> NormalizedQuery:
                 trace.append(f"{eq.lhs} = '' recorded as an epsilon constraint")
                 changed = True
                 break
-            # Left side occurring on the right forces the remainder to epsilon.
-            if eq.lhs in vars_of(eq.rhs):
-                others = [v for v in eq.rhs if isinstance(v, Variable) and v != eq.lhs]
-                z = fresh.fresh("z")
-                equations[idx] = WordEquation(eq.lhs, (z,))
+            # Left side occurring on the right forces the remainder to epsilon;
+            # occurring twice or more (|x| >= 2|x|), it is epsilon itself.
+            repeats = eq.rhs.count(eq.lhs)
+            if repeats:
+                others = [v for v in eq.rhs if v != eq.lhs]
+                if repeats >= 2:
+                    equations.pop(idx)
+                    add_eps(eq.lhs)
+                    trace.append(f"{eq.lhs} occurs {repeats} times on its own right side; "
+                                 f"it and the remainder forced to epsilon")
+                else:
+                    equations[idx] = WordEquation(eq.lhs, (fresh.fresh("z"),))
+                    trace.append(f"{eq.lhs} occurs on both sides; remainder forced to epsilon")
                 for v in others:
                     add_eps(v)
-                trace.append(f"{eq.lhs} occurs on both sides; remainder forced to epsilon")
                 changed = True
                 break
-            # The universe variable on the right pins the left side to the word.
-            if any(isinstance(v, Variable) and v.is_universe for v in eq.rhs):
-                others = [v for v in eq.rhs if isinstance(v, Variable) and not v.is_universe]
+            # The universe variable on the right pins the left side to the
+            # word; occurring twice or more (|x| >= 2|w|), it makes the word
+            # epsilon.
+            repeats = eq.rhs.count(UNIVERSE)
+            if repeats:
+                others = [v for v in eq.rhs if not v.is_universe]
                 equations[idx] = WordEquation(UNIVERSE, (eq.lhs,))
+                if repeats >= 2:
+                    add_eps(UNIVERSE)
                 for v in others:
                     add_eps(v)
                 trace.append(f"{eq.lhs} swallows the whole word; rewritten with u on the left")

@@ -235,6 +235,19 @@ class TestAtomDecomposition:
                 assert any(c <= atom.variables() for atom in two.equations)
 
 
+    def test_matches_find_on_every_acyclic_pattern(self):
+        # Without pairs the planner's route is find's route: equal factors
+        # share a variable even where the search brackets them differently.
+        r = v("r")
+        for p in canonical_patterns(7, 4):
+            if not is_acyclic_pattern(p):
+                continue
+            two = decompose_atom_with_constraints(WordEquation(r, p), [])
+            assert two is not None, p
+            assert_valid_decomposition(two, r, p)
+            assert alpha_equivalent(two, find_acyclic_decomposition(p, r)), p
+
+
 class TestKary:
     def test_k2_equals_binary(self):
         for p in canonical_patterns(6, 3):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import AB, all_words, random_fccq, v
 from wordeq.evaluator import (
     Relation,
-    check_k_ambiguous_bounded,
     check_universality,
     enumerate_results,
     full_reduction,
@@ -27,7 +26,7 @@ from wordeq.model import (
     SmallEquation,
     UNIVERSE,
 )
-from wordeq.oracle import brute_evaluate
+from wordeq.oracle import brute_evaluate, check_k_ambiguous_bounded
 from wordeq.planner import plan
 
 

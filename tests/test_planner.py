@@ -7,7 +7,7 @@ import pytest
 
 from conftest import AB, all_words, random_fccq, v
 from wordeq.decompose import decompose_bracketing
-from wordeq.evaluator import enumerate_results
+from wordeq.evaluator import enumerate_results, model_check
 from wordeq.frontend import parse_query
 from wordeq.index import build_index
 from wordeq.model import (
@@ -117,6 +117,45 @@ class TestNormalize:
             assert is_normalized(nq)
             for w in rng.sample(words, 12):
                 assert brute_evaluate(q, w) == brute_evaluate(nq.query, w), (q, w)
+
+
+
+def agrees_with_oracle(text: str, max_len: int = 3) -> None:
+    """Planned model checking and enumeration match brute force on every
+    word over ab up to max_len."""
+    q = parse_query(text, AB)
+    p = plan(q)
+    for w in all_words("ab", max_len):
+        ix = build_index(w, AB)
+        expected = brute_evaluate(q, w)
+        assert model_check(p, ix) == bool(expected), (text, w)
+        got = {tuple(r.words(ix)[x.name] for x in q.head) for r in enumerate_results(p, ix)}
+        assert got == expected, (text, w)
+
+
+class TestRepeatedVariables:
+    """A variable repeated on a right side pins lengths: twice the left side
+    makes the left side epsilon, twice u makes the word epsilon."""
+
+    def test_left_side_twice_on_its_right_side(self):
+        agrees_with_oracle("ans() :- x = x.x, x in /a/")
+
+    def test_left_side_twice_with_others(self):
+        agrees_with_oracle("ans(x, y) :- x = x.y.x")
+
+    def test_universe_twice_on_its_own_right_side(self):
+        agrees_with_oracle("ans() :- u = u.u")
+
+    def test_universe_twice_on_a_right_side(self):
+        agrees_with_oracle("ans() :- x = u.u")
+
+    def test_left_side_once_keeps_its_word(self):
+        agrees_with_oracle("ans(x) :- x = y.x.z")
+
+    def test_equal_factors_bracketed_apart(self):
+        # The search brackets the two x1.x1.x2 factors differently; they must
+        # still share one introduced variable for the plan to stay acyclic.
+        agrees_with_oracle("ans() :- u = x1.x1.x2.x1.x1.x2.x2", max_len=4)
 
 
 class TestStructuredNormalForm:
