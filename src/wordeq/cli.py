@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Iterable, Optional, Sequence
 
 from .bridge import is_pseudo_acyclic, pseudo_acyclic_to_acyclic_fccq, sercq_to_fccq, fccq_to_sercq
 from .decompose import (
@@ -18,7 +19,7 @@ from .decompose import (
     k_ary_local_decomposition,
     terminal_free_core,
 )
-from .evaluator import enumerate_results, model_check
+from .evaluator import ResultTuple, brute_results, enumerate_results, model_check
 from .frontend import (
     ParseError,
     parse_pattern_literal,
@@ -27,18 +28,17 @@ from .frontend import (
     print_query,
     print_sercq,
 )
-from .index import build_index
+from .index import WordIndex, build_index
 from .model import (
     Alphabet,
     CyclicQueryError,
     FcCq,
-    TwoFcCq,
     UNIVERSE,
     WordeqError,
     default_alphabet,
 )
 from .oracle import brute_evaluate
-from .planner import plan, skeleton_of
+from .planner import Plan, plan, skeleton_of
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -68,41 +68,25 @@ def _read_text(path: str) -> str:
         return fh.read().strip()
 
 
-def _load_query(path: str, alphabet: Alphabet) -> FcCq:
-    return parse_query(_read_text(path), alphabet)
-
-
-def _fmt_two(two: TwoFcCq) -> str:
-    parts = [str(eq) for eq in two.equations]
-    return "\n".join(parts)
-
-
-def cmd_check(args: argparse.Namespace) -> int:
+def _front_half(args: argparse.Namespace) -> tuple[FcCq, WordIndex, Optional[Plan]]:
+    """Read the inputs, index the word and plan the query.  A cyclic query
+    gets no plan and is answered by brute force; --require-acyclic refuses
+    it instead (the CyclicQueryError reaches `main`)."""
     alphabet = _alphabet_from(args.alphabet)
-    query = _load_query(args.query, alphabet)
+    query = parse_query(_read_text(args.query), alphabet)
     word = _read_word(args.word)
     ix = build_index(word, alphabet)
     try:
-        p = plan(query)
+        return query, ix, plan(query)
     except CyclicQueryError as exc:
-        print(f"query is cyclic: {exc.detail}", file=sys.stderr)
         if args.require_acyclic:
-            return EXIT_NEGATIVE
+            raise
+        print(f"query is cyclic: {exc.detail}", file=sys.stderr)
         print("warning: falling back to brute-force evaluation", file=sys.stderr)
         if len(word) > ORACLE_WORD_LIMIT:
             print(f"warning: brute-force on a word of length {len(word)} may be very slow",
                   file=sys.stderr)
-        return EXIT_OK if brute_evaluate(query, word) else EXIT_NEGATIVE
-    if args.explain:
-        print(p.explain(), file=sys.stderr)
-    truth = model_check(p, ix)
-    if args.oracle and _oracle_feasible(word):
-        expected = bool(brute_evaluate(query, word))
-        if expected != truth:
-            print("internal error: engine disagrees with the brute-force oracle", file=sys.stderr)
-            return EXIT_INTERNAL
-    print("true" if truth else "false")
-    return EXIT_OK if truth else EXIT_NEGATIVE
+        return query, ix, None
 
 
 def _oracle_feasible(word: str) -> bool:
@@ -113,41 +97,47 @@ def _oracle_feasible(word: str) -> bool:
     return True
 
 
+def _oracle_agrees(query: FcCq, ix: WordIndex, answers: Iterable[ResultTuple]) -> bool:
+    """Compare the engine's answers with brute force, as head word tuples."""
+    got = {tuple(r.words(ix)[v.name] for v in query.head) for r in answers}
+    if got == brute_evaluate(query, ix.word):
+        return True
+    print("internal error: engine disagrees with the brute-force oracle", file=sys.stderr)
+    return False
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    query, ix, p = _front_half(args)
+    if p is None:
+        truth = next(brute_results(query, ix), None) is not None
+    else:
+        if args.explain:
+            print(p.explain(), file=sys.stderr)
+        truth = model_check(p, ix)
+        # The verdict is the answer set of the query's Boolean projection.
+        if (args.oracle and _oracle_feasible(ix.word)
+                and not _oracle_agrees(replace(query, head=()), ix, [ResultTuple(())] if truth else [])):
+            return EXIT_INTERNAL
+    print("true" if truth else "false")
+    return EXIT_OK if truth else EXIT_NEGATIVE
+
+
 def cmd_enum(args: argparse.Namespace) -> int:
-    alphabet = _alphabet_from(args.alphabet)
-    query = _load_query(args.query, alphabet)
-    word = _read_word(args.word)
-    ix = build_index(word, alphabet)
-    try:
-        p = plan(query)
-    except CyclicQueryError as exc:
-        print(f"query is cyclic: {exc.detail}", file=sys.stderr)
-        if args.require_acyclic:
-            return EXIT_NEGATIVE
-        print("warning: falling back to brute-force evaluation", file=sys.stderr)
-        rows = sorted(brute_evaluate(query, word))
-        shown = 0
-        for row in rows:
-            if args.limit is not None and shown >= args.limit:
-                break
-            obj = {v.name: {"word": val} for v, val in zip(query.head, row)}
-            print(json.dumps(obj) if args.json else _plain_row(obj))
-            shown += 1
-        return EXIT_OK if rows else EXIT_NEGATIVE
+    query, ix, p = _front_half(args)
+    results: Iterable[ResultTuple] = brute_results(query, ix) if p is None else enumerate_results(p, ix)
+    # The cross-check needs every answer; collect them once and print from the list.
+    oracle = args.oracle and p is not None and _oracle_feasible(ix.word)
+    if oracle:
+        results = list(results)
     any_result = False
-    shown = 0
-    for result in enumerate_results(p, ix):
+    for shown, result in enumerate(results):
         any_result = True
         if args.limit is not None and shown >= args.limit:
             break
         obj = result.to_json_obj(ix)
         print(json.dumps(obj) if args.json else _plain_row(obj))
-        shown += 1
-    if args.oracle and _oracle_feasible(word):
-        got = {tuple(r.words(ix)[v.name] for v in query.head) for r in enumerate_results(p, ix)}
-        if got != brute_evaluate(query, word):
-            print("internal error: engine disagrees with the brute-force oracle", file=sys.stderr)
-            return EXIT_INTERNAL
+    if oracle and not _oracle_agrees(query, ix, results):
+        return EXIT_INTERNAL
     return EXIT_OK if any_result else EXIT_NEGATIVE
 
 
@@ -156,19 +146,15 @@ def _plain_row(obj: dict) -> str:
         return "(true)"
     parts = []
     for name, info in obj.items():
-        span = f" @[{info['span'][0]},{info['span'][1]})" if "span" in info else ""
-        parts.append(f"{name}={info['word']!r}{span}")
+        start, end = info["span"]
+        parts.append(f"{name}={info['word']!r} @[{start},{end})")
     return "  ".join(parts)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     alphabet = _alphabet_from(args.alphabet)
-    query = _load_query(args.query, alphabet)
-    try:
-        p = plan(query, prefactor=args.prefactor)
-    except CyclicQueryError as exc:
-        print(f"query is cyclic: {exc.detail}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    query = parse_query(_read_text(args.query), alphabet)
+    p = plan(query, prefactor=args.prefactor)
     print(p.explain())
     sk = skeleton_of(p)
     print("skeleton edges:", " ".join(f"{a}-{b}" for a, b in sk.edges))
@@ -195,7 +181,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     if two is None:
         print(refusal)
         return EXIT_NEGATIVE
-    print(_fmt_two(two))
+    print("\n".join(str(eq) for eq in two.equations))
     for z, block in blocks.items():
         print(f"{z} in /{block}/")
     return EXIT_OK
@@ -225,27 +211,33 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wordeq",
                                  description="Evaluate conjunctive queries over word equations.")
     ap.add_argument("--alphabet", help="terminal alphabet (default: a-z)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="plan a query and model-check it against a word")
-    p_check.add_argument("query", help=".fcq query file")
-    p_check.add_argument("word", help="input word file ('-' for stdin)")
-    p_check.add_argument("--require-acyclic", action="store_true")
-    p_check.add_argument("--oracle", action="store_true", help="cross-check with brute force")
+    evaluation = argparse.ArgumentParser(add_help=False)
+    evaluation.add_argument("query", help=".fcq query file")
+    evaluation.add_argument("word", help="input word file ('-' for stdin)")
+    evaluation.add_argument("--require-acyclic", action="store_true")
+    evaluation.add_argument("--oracle", action="store_true", help="cross-check with brute force")
+
+    p_check = sub.add_parser("check", parents=[evaluation],
+                             help="plan a query and model-check it against a word")
     p_check.add_argument("--explain", action="store_true", help="print the plan to stderr")
     p_check.set_defaults(func=cmd_check)
 
-    p_enum = sub.add_parser("enum", help="enumerate results as JSON lines")
-    p_enum.add_argument("query")
-    p_enum.add_argument("word")
-    p_enum.add_argument("--limit", type=int, default=None)
+    p_enum = sub.add_parser("enum", parents=[evaluation], help="enumerate results as JSON lines")
+    p_enum.add_argument("--limit", type=_count, default=None)
     p_enum.add_argument("--json", action="store_true")
-    p_enum.add_argument("--require-acyclic", action="store_true")
-    p_enum.add_argument("--oracle", action="store_true")
     p_enum.set_defaults(func=cmd_enum)
 
     p_plan = sub.add_parser("plan", help="print the evaluation plan for a query")
@@ -278,13 +270,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except CyclicQueryError as exc:
+        print(f"query is cyclic: {exc.detail}", file=sys.stderr)
+        return EXIT_NEGATIVE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WordeqError as exc:
+    except (OSError, ValueError, WordeqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

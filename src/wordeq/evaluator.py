@@ -9,6 +9,7 @@ from typing import Iterator, Optional
 from .index import Span, WordIndex
 from .model import (
     Alphabet,
+    CyclicQueryError,
     FcCq,
     HasConstraintsError,
     JoinTree,
@@ -19,7 +20,7 @@ from .model import (
     gyo,
 )
 from .oracle import brute_evaluate
-from .planner import Plan
+from .planner import Plan, plan
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class ResultTuple:
         return out
 
 
-def _project_positions(positions: list[Variable], wid: int) -> tuple[tuple[Variable, ...], list[Optional[int]]]:
+def _project_positions(positions: list[Variable]) -> tuple[tuple[Variable, ...], list[Optional[int]]]:
     """Schema of the distinct non-universe variables plus, per position,
     either its schema slot or None for universe positions."""
     schema: list[Variable] = []
@@ -69,7 +70,7 @@ def _project_positions(positions: list[Variable], wid: int) -> tuple[tuple[Varia
 
 def _rows_from_tuples(positions: list[Variable], wid: int,
                       tuples: Iterator[tuple[int, ...]]) -> Relation:
-    schema, slots = _project_positions(positions, wid)
+    schema, slots = _project_positions(positions)
     rows: set[tuple[int, ...]] = set()
     width = len(schema)
     for tup in tuples:
@@ -234,6 +235,14 @@ def join_tree_for(two: TwoFcCq) -> Optional[JoinTree]:
     return gyo(atoms)
 
 
+def brute_results(q: FcCq, ix: WordIndex) -> Iterator[ResultTuple]:
+    """The cyclic fallback: brute-force answers in sorted word order, each
+    head word mapped to its canonical factor id (every answer word is a
+    factor of the input, so the lookup always finds one)."""
+    for row in sorted(brute_evaluate(q, ix.word)):
+        yield ResultTuple(tuple((v, ix.id_of_word(w)) for v, w in zip(q.head, row)))
+
+
 def check_universality(q: FcCq, alphabet: Alphabet) -> bool:
     """A Boolean constraint-free query accepts every word iff it accepts the
     empty word and some single letter.
@@ -241,21 +250,19 @@ def check_universality(q: FcCq, alphabet: Alphabet) -> bool:
     Membership on the two candidate words runs through the engine when the
     query is acyclic, through brute force otherwise.
     """
-    from .planner import plan as _plan
-    from .model import CyclicQueryError
-
     if q.head:
         raise ValueError("universality is defined for Boolean queries")
     if q.constraints:
         raise HasConstraintsError("universality shortcut only applies without regular constraints")
     try:
-        p = _plan(q)
-
-        def member(w: str) -> bool:
-            return model_check(p, WordIndex(w))
+        p: Optional[Plan] = plan(q)
     except CyclicQueryError:
-        def member(w: str) -> bool:
-            return bool(brute_evaluate(q, w))
-    if not member(""):
-        return False
-    return any(member(a) for a in alphabet)
+        p = None
+
+    def member(w: str) -> bool:
+        ix = WordIndex(w)
+        if p is None:
+            return next(brute_results(q, ix), None) is not None
+        return model_check(p, ix)
+
+    return member("") and any(member(a) for a in alphabet)

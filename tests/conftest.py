@@ -156,6 +156,39 @@ def random_fccq(rng: random.Random, max_atoms: int = 3, max_rhs: int = 5,
     return q
 
 
+def random_fccq_wide(rng: random.Random) -> FcCq:
+    """Random queries with the shapes `random_fccq` never emits: `u` on a
+    right side, empty right sides, a left side repeated on its own right
+    side, variables that occur only in constraints, and constraints on `u`.
+    Up to 3 equations with right sides of up to 5 symbols over x, y, z."""
+    pool = [Variable(n) for n in ("x", "y", "z")]
+    equations = []
+    for _ in range(rng.randint(1, 3)):
+        lhs = UNIVERSE if rng.random() < 0.4 else rng.choice(pool)
+        rhs: list = []
+        for _ in range(0 if rng.random() < 0.15 else rng.randint(1, 5)):
+            roll = rng.random()
+            if roll < 0.15:
+                rhs.append(rng.choice("ab"))
+            elif roll < 0.25:
+                rhs.append(UNIVERSE)
+            elif roll < 0.35:
+                rhs.append(lhs)
+            else:
+                rhs.append(rng.choice(pool))
+        equations.append(WordEquation(lhs, tuple(rhs)))
+    body_vars = set().union(*(eq.variables() for eq in equations))
+    targets = sorted(body_vars | {UNIVERSE, Variable("c")}, key=str)
+    constraints = [RegularConstraint(rng.choice(targets), random_regex(rng))
+                   for _ in range(rng.randint(0, 2))]
+    head_pool = sorted(({c.var for c in constraints} | body_vars) - {UNIVERSE}, key=str)
+    rng.shuffle(head_pool)
+    q = FcCq(tuple(head_pool[:rng.randint(0, min(2, len(head_pool)))]),
+             tuple(equations), tuple(constraints))
+    q.validate()
+    return q
+
+
 def all_words(alphabet: Iterable[str], max_len: int) -> list[str]:
     out = [""]
     for w in out:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from wordeq import cli
 from wordeq.cli import main
+from wordeq.evaluator import enumerate_results
 from wordeq.frontend import parse_query, parse_sercq
 from wordeq.model import default_alphabet
 
@@ -50,6 +52,7 @@ class TestCheck:
         w = files("w.txt", "abaabaaaaa")
         code, out, err = run(capsys, "check", q, w)
         assert code == 0 and "falling back" in err
+        assert out == "true\n"
 
     def test_malformed_query(self, files, capsys):
         q = files("q.fcq", "ans() :- u = ")
@@ -87,6 +90,40 @@ class TestEnum:
         q2 = files("q2.fcq", "ans(x) :- u = x.y, x in /#/")
         code2, out2, _ = run(capsys, "enum", q2, w, "--limit", "0")
         assert code2 == 1 and out2 == ""
+
+    def test_negative_limit_is_usage_error(self, files, capsys):
+        q = files("q.fcq", "ans(x) :- u = x.y")
+        w = files("w.txt", "ab")
+        code, out, err = run(capsys, "enum", q, w, "--limit", "-1")
+        assert code == 2 and out == "" and "--limit" in err
+
+    def test_cyclic_fallback_spans(self, files, capsys):
+        q = files("q.fcq", "ans(x) :- u = 'ab'.x.'ba'.x.y.x")
+        w = files("w.txt", "abaabaaaaa")
+        code, out, err = run(capsys, "enum", q, w, "--json")
+        assert code == 0 and "falling back" in err
+        assert out == '{"x": {"word": "aa", "span": [3, 5]}}\n'
+
+    def test_oracle_enumerates_once(self, files, capsys, monkeypatch):
+        calls = []
+
+        def counted(p, ix):
+            calls.append(p)
+            return enumerate_results(p, ix)
+
+        monkeypatch.setattr(cli, "enumerate_results", counted)
+        q = files("q.fcq", "ans(x) :- u = x.y")
+        w = files("w.txt", "ab")
+        code, out, err = run(capsys, "enum", q, w, "--oracle", "--limit", "1")
+        assert code == 0 and len(out.splitlines()) == 1 and err == ""
+        assert len(calls) == 1
+
+    def test_cyclic_long_word_warns(self, files, capsys):
+        q = files("q.fcq", "ans(x) :- u = 'ab'.x.'ba'.x.y.x")
+        w = files("w.txt", "b" * 15)
+        code, out, err = run(capsys, "enum", q, w)
+        assert code == 1 and out == ""
+        assert "brute-force on a word of length 15 may be very slow" in err
 
     def test_boolean_query(self, files, capsys):
         q = files("q.fcq", "ans() :- u = x.y")
