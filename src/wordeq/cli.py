@@ -109,7 +109,8 @@ def _oracle_agrees(query: FcCq, ix: WordIndex, answers: Iterable[ResultTuple]) -
 def cmd_check(args: argparse.Namespace) -> int:
     query, ix, p = _front_half(args)
     if p is None:
-        truth = next(brute_results(query, ix), None) is not None
+        # Brute force on the Boolean projection stops at the first answer.
+        truth = next(brute_results(replace(query, head=()), ix), None) is not None
     else:
         if args.explain:
             print(p.explain(), file=sys.stderr)

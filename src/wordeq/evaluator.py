@@ -3,10 +3,10 @@ the plan's join tree, and result enumeration."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
-from .index import Span, WordIndex
+from .index import WordIndex
 from .model import (
     Alphabet,
     CyclicQueryError,
@@ -31,9 +31,8 @@ class Relation:
     rows: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        for r in self.rows:
-            if len(r) != len(self.schema):
-                raise ValueError("row arity does not match the schema")
+        if self.rows and set(map(len, self.rows)) != {len(self.schema)}:
+            raise ValueError("row arity does not match the schema")
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,11 @@ def _project_positions(positions: list[Variable]) -> tuple[tuple[Variable, ...],
 
 
 def _rows_from_tuples(positions: list[Variable], wid: int,
-                      tuples: Iterator[tuple[int, ...]]) -> Relation:
+                      tuples: Iterable[tuple[int, ...]]) -> Relation:
     schema, slots = _project_positions(positions)
+    if len(schema) == len(slots):
+        # Every position is its own variable: the tuples are the rows.
+        return Relation(schema, frozenset(tuples))
     rows: set[tuple[int, ...]] = set()
     width = len(schema)
     for tup in tuples:
@@ -91,17 +93,6 @@ def _rows_from_tuples(positions: list[Variable], wid: int,
     return Relation(schema, frozenset(rows))
 
 
-def _splits(ix: WordIndex, fid: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write the factor as a concatenation of `parts` factors."""
-    span = ix.canonical_span(fid)
-    if parts == 1:
-        yield (fid,)
-        return
-    for cuts in combinations(range(span.start, span.end + 1), parts - 1):
-        bounds = (span.start,) + cuts + (span.end,)
-        yield tuple(ix.factor_id(Span(bounds[t], bounds[t + 1])) for t in range(parts))
-
-
 def materialize_atom(ix: WordIndex, atom) -> Relation:
     """Relation of one atom: concatenation splits, the copy diagonal, or the
     factors a regex accepts.  Universe positions are pre-bound to the word."""
@@ -117,13 +108,13 @@ def materialize_atom(ix: WordIndex, atom) -> Relation:
     parts = len(atom.rhs)
     if parts == 1:
         if atom.lhs.is_universe or atom.rhs[0].is_universe:
-            tuples: Iterator[tuple[int, ...]] = iter([(wid, wid)])
+            tuples: Iterable[tuple[int, ...]] = [(wid, wid)]
         else:
             tuples = ((f, f) for f in ix.all_factor_ids())
     elif atom.lhs.is_universe:
-        tuples = ((wid,) + rest for rest in _splits(ix, wid, parts))
+        tuples = ((wid, *rest) for rest in ix.splits(wid, parts))
     else:
-        tuples = ((z,) + rest for z in ix.all_factor_ids() for rest in _splits(ix, z, parts))
+        tuples = ((z, *rest) for z in ix.all_factor_ids() for rest in ix.splits(z, parts))
     return _rows_from_tuples(positions, wid, tuples)
 
 
@@ -132,11 +123,10 @@ def semijoin(r: Relation, s: Relation) -> Relation:
     shared = [v for v in r.schema if v in s.schema]
     if not shared:
         return r if s.rows else Relation(r.schema, frozenset())
-    r_idx = [r.schema.index(v) for v in shared]
-    s_idx = [s.schema.index(v) for v in shared]
-    keys = {tuple(row[i] for i in s_idx) for row in s.rows}
-    return Relation(r.schema, frozenset(row for row in r.rows
-                                        if tuple(row[i] for i in r_idx) in keys))
+    r_key = itemgetter(*(r.schema.index(v) for v in shared))
+    s_key = itemgetter(*(s.schema.index(v) for v in shared))
+    keys = set(map(s_key, s.rows))
+    return Relation(r.schema, frozenset(row for row in r.rows if r_key(row) in keys))
 
 
 def _orientation(tree: JoinTree, root: int = 0) -> tuple[list[int], list[list[int]], list[Optional[int]]]:

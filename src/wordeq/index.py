@@ -2,14 +2,26 @@
 lookup and per-factor regex membership.
 
 Factor ids canonicalize factor equality: two spans get the same id exactly
-when they spell the same word.  Ids are handed out lazily; the operations
-that need every distinct factor materialize the full table on demand (they
-are meant for desk-scale words, the id/lookup path also handles long ones).
+when they spell the same word, and each id keeps the leftmost span it
+occurs at.  Ids are handed out lazily by `_register`, which looks the factor
+up by its string; the whole word, single lookups (`id_of_word`, `factor_id`)
+and regex matches (`regex_members`) go this way and cost no more than the
+factors they touch, so they also serve long words.
+
+Operations that need every distinct factor (`all_factor_ids`, relations of
+non-grounded atoms) first build the factor table: `table[i][k]` is the id of
+`w[i:i+k]` (0-based), numbered through `_register` in one pass over all
+n(n+1)/2 spans, so ids handed out before keep their numbers.  It holds about
+n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is never built by the
+constructor; `factor_at` reads it once it exists and falls back to
+registering the slice before.  `splits` cuts a factor into parts: with the
+table built, a binary cut is two table reads, with no string slicing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator, Optional
 
 from .model import Alphabet, InvalidSpanError, RegexAst
 from .nfa import thompson
@@ -30,7 +42,8 @@ class Span:
 
 
 class WordIndex:
-    """Immutable after construction; concurrent read-only queries are safe."""
+    """Factor ids and the factor table are filled in on first use, so an
+    index is not safe to share between threads."""
 
     def __init__(self, word: str, alphabet: Optional[Alphabet] = None):
         if alphabet is not None:
@@ -42,7 +55,7 @@ class WordIndex:
         self._ids: dict[str, int] = {"": EPSILON_ID}
         self._canonical: list[Span] = [Span(1, 1)]
         self._words: list[str] = [""]
-        self._all_materialized = False
+        self._table: Optional[list[list[int]]] = None
 
     # -- identity -------------------------------------------------------------
 
@@ -66,7 +79,14 @@ class WordIndex:
     def factor_id(self, s: Span) -> int:
         """Equal factors yield equal ids; the id of epsilon is 0."""
         self.check_span(s)
-        return self._register(self.word[s.start - 1:s.end - 1])
+        return self.factor_at(s.start - 1, s.end - 1)
+
+    def factor_at(self, i: int, j: int) -> int:
+        """Id of w[i:j], 0-based and half-open; the caller keeps
+        0 <= i <= j <= n (`factor_id` is the validating form)."""
+        if self._table is not None:
+            return self._table[i][j - i]
+        return self._register(self.word[i:j])
 
     def id_of_word(self, factor: str) -> Optional[int]:
         fid = self._ids.get(factor)
@@ -91,12 +111,11 @@ class WordIndex:
         return len(self._words)
 
     def _materialize_all(self) -> None:
-        if self._all_materialized:
+        if self._table is not None:
             return
-        for i in range(self.n):
-            for j in range(i + 1, self.n + 1):
-                self._register(self.word[i:j])
-        self._all_materialized = True
+        word, n, register = self.word, self.n, self._register
+        self._table = [[EPSILON_ID] + [register(word[i:j]) for j in range(i + 1, n + 1)]
+                       for i in range(n + 1)]
 
     def all_factor_ids(self) -> list[int]:
         self._materialize_all()
@@ -108,16 +127,30 @@ class WordIndex:
         """Id of word(a)+word(b) when that word occurs in w, else None."""
         return self.id_of_word(self._words[a] + self._words[b])
 
-    def enumerate_concat_triples(self) -> Iterator[tuple[int, int, int]]:
-        """All (z, x, y) over distinct factors with word(z) = word(x)+word(y).
+    def splits(self, fid: int, parts: int) -> Iterable[tuple[int, ...]]:
+        """Every way to write factor `fid` as a concatenation of `parts`
+        factors, as id tuples.  Each cut of its canonical occurrence gives
+        one tuple, and distinct cuts give distinct tuples."""
+        if parts == 1:
+            return [(fid,)]
+        start = self._canonical[fid].start - 1
+        end = start + len(self._words[fid])
+        table = self._table
+        if parts == 2 and table is not None:
+            row = table[start]
+            length = end - start
+            return [(row[k], table[start + k][length - k]) for k in range(length + 1)]
+        at = self.factor_at
+        return (tuple(at(b[t], b[t + 1]) for t in range(parts))
+                for b in ((start, *cuts, end) for cuts in
+                          combinations_with_replacement(range(start, end + 1), parts - 1)))
 
-        Every split of the canonical occurrence of z realizes one (x, y) pair,
-        and distinct splits give distinct pairs, so there are no duplicates.
-        """
+    def enumerate_concat_triples(self) -> Iterator[tuple[int, int, int]]:
+        """All (z, x, y) over distinct factors with word(z) = word(x)+word(y);
+        there are no duplicates (see `splits`)."""
         for z in self.all_factor_ids():
-            s = self._canonical[z]
-            for m in range(s.start, s.end + 1):
-                yield z, self.factor_id(Span(s.start, m)), self.factor_id(Span(m, s.end))
+            for x, y in self.splits(z, 2):
+                yield z, x, y
 
     # -- regex membership ---------------------------------------------------------
 
@@ -134,7 +167,7 @@ class WordIndex:
                 if not states:
                     break
                 if nfa.is_accepting(states):
-                    out.add(self.factor_id(Span(i + 1, j + 2)))
+                    out.add(self.factor_at(i, j + 1))
         return out
 
 

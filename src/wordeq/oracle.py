@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 from .model import (
@@ -84,10 +85,17 @@ def brute_pattern_member(p: Pattern, w: str, erasing: bool = True) -> bool:
 
 def brute_evaluate(q: FcCq, w: str) -> set[tuple[str, ...]]:
     """Direct query semantics: all satisfying substitutions, projected to the
-    head and deduplicated at word level."""
+    head and deduplicated at word level.  A Boolean query (empty head) has at
+    most the answer (), so the search stops at its first satisfying
+    substitution."""
+    answers = _brute_answers(q, w)
+    return set(islice(answers, 1) if not q.head else answers)
+
+
+def _brute_answers(q: FcCq, w: str) -> Iterator[tuple[str, ...]]:
+    """Head tuple of every satisfying substitution, repeats included."""
     nfas = [(c.var, thompson(c.regex)) for c in q.constraints]
     facs = factors(w)
-    results: set[tuple[str, ...]] = set()
 
     def check_constraints(cur: dict[Variable, str]) -> bool:
         for var, nfa in nfas:
@@ -96,26 +104,26 @@ def brute_evaluate(q: FcCq, w: str) -> set[tuple[str, ...]]:
                 return False
         return True
 
-    def finish(cur: dict[Variable, str]) -> None:
+    def finish(cur: dict[Variable, str]) -> Iterator[tuple[str, ...]]:
         # Variables appearing only in constraints still need values.
         missing = [var for var, _ in nfas if not var.is_universe and var not in cur]
         missing = list(dict.fromkeys(missing))
 
-        def assign(i: int) -> None:
+        def assign(i: int) -> Iterator[tuple[str, ...]]:
             if i == len(missing):
                 if check_constraints(cur):
-                    results.add(tuple(cur[v] for v in q.head))
+                    yield tuple(cur[v] for v in q.head)
                 return
             for f in facs:
                 cur[missing[i]] = f
-                assign(i + 1)
+                yield from assign(i + 1)
                 del cur[missing[i]]
 
-        assign(0)
+        yield from assign(0)
 
-    def solve(eq_idx: int, cur: dict[Variable, str]) -> None:
+    def solve(eq_idx: int, cur: dict[Variable, str]) -> Iterator[tuple[str, ...]]:
         if eq_idx == len(q.equations):
-            finish(cur)
+            yield from finish(cur)
             return
         eq = q.equations[eq_idx]
         if eq.lhs.is_universe:
@@ -129,12 +137,11 @@ def brute_evaluate(q: FcCq, w: str) -> set[tuple[str, ...]]:
             if added_lhs:
                 cur[eq.lhs] = t
             for ext in match_pattern(_resolve_universe(eq.rhs, w), t, cur):
-                solve(eq_idx + 1, ext)
+                yield from solve(eq_idx + 1, ext)
             if added_lhs:
                 del cur[eq.lhs]
 
-    solve(0, {})
-    return results
+    return solve(0, {})
 
 
 def check_k_ambiguous_bounded(q: FcCq, k: int, max_len: int, alphabet: Alphabet) -> bool:

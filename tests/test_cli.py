@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
+from conftest import AB, all_words, random_fccq_wide
 from wordeq import cli
 from wordeq.cli import main
 from wordeq.evaluator import enumerate_results
-from wordeq.frontend import parse_query, parse_sercq
-from wordeq.model import default_alphabet
+from wordeq.frontend import parse_query, parse_sercq, print_query
+from wordeq.model import CyclicQueryError, UNIVERSE, default_alphabet
+from wordeq.oracle import brute_evaluate
+from wordeq.planner import plan
 
 
 @pytest.fixture
@@ -71,6 +76,37 @@ class TestCheck:
         w = files("w.txt", "ab")
         code, _, err = run(capsys, "check", q, w, "--explain")
         assert code == 0 and "join tree edges" in err
+
+    def test_cyclic_verdicts_match_full_enumeration(self, files, capsys):
+        """The fallback decides `check` on the query's Boolean projection and
+        stops at its first answer; its verdict must be that of the full
+        answer set (all body variables in the head), and `enum` must still
+        print every answer."""
+        rng = random.Random(1)
+        words = all_words("ab", 3)
+        cyclic = 0
+        verdicts = set()
+        while cyclic < 30:
+            q = random_fccq_wide(rng)
+            try:
+                plan(q)
+                continue
+            except CyclicQueryError:
+                cyclic += 1
+            body = set().union(*(eq.variables() for eq in q.equations), (c.var for c in q.constraints))
+            full = replace(q, head=tuple(sorted(body - {UNIVERSE}, key=str)))
+            qf = files("q.fcq", print_query(q, AB))
+            for w in words:
+                wf = files("w.txt", w)
+                truth = bool(brute_evaluate(full, w))
+                verdicts.add(truth)
+                code, out, err = run(capsys, "--alphabet", "ab", "check", qf, wf)
+                assert "falling back" in err
+                assert (code, out) == ((0, "true\n") if truth else (1, "false\n")), (q, w)
+                code, out, _ = run(capsys, "--alphabet", "ab", "enum", "--json", qf, wf)
+                got = {tuple(json.loads(line)[h.name]["word"] for h in q.head) for line in out.splitlines()}
+                assert got == brute_evaluate(q, w) and code == (0 if truth else 1), (q, w)
+        assert verdicts == {True, False}
 
 
 class TestEnum:

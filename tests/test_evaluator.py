@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from wordeq.evaluator import (
     semijoin,
 )
 from wordeq.frontend import parse_query
-from wordeq.index import build_index
+from wordeq.index import Span, build_index
 from wordeq.model import (
     CyclicQueryError,
     HasConstraintsError,
@@ -28,6 +29,7 @@ from wordeq.model import (
     SmallEquation,
     UNIVERSE,
 )
+from wordeq.nfa import thompson
 from wordeq.oracle import brute_evaluate, check_k_ambiguous_bounded
 from wordeq.planner import plan
 
@@ -64,6 +66,71 @@ class TestMaterialize:
         expected = {(z, x, y) for z in facs for x in facs for y in facs if x + y == z}
         got = {tuple(ix.word_of(f) for f in row) for row in rel.rows}
         assert got == expected
+
+
+def slow_relation(ix, atom) -> Relation:
+    """Reference relation of one atom: every span of the word (not only
+    leftmost ones), every cut with empty parts allowed, one validated
+    `factor_id(Span)` per part."""
+    w, n = ix.word, ix.n
+
+    def fid(i: int, j: int) -> int:
+        return ix.factor_id(Span(i, j))
+
+    spans = [(i, j) for i in range(1, n + 2) for j in range(i, n + 2)]
+    wid = fid(1, n + 1)
+    if isinstance(atom, RegularConstraint):
+        nfa = thompson(atom.regex)
+        if atom.var.is_universe:
+            return Relation((), frozenset({()} if nfa.accepts(w) else ()))
+        return Relation((atom.var,), frozenset((fid(i, j),) for i, j in spans
+                                               if nfa.accepts(w[i - 1:j - 1])))
+    positions = (atom.lhs, *atom.rhs)
+    schema = tuple(dict.fromkeys(x for x in positions if not x.is_universe))
+    rows = set()
+    for s, e in ([(1, n + 1)] if atom.lhs.is_universe else spans):
+        for cuts in combinations_with_replacement(range(s, e + 1), len(atom.rhs) - 1):
+            bounds = (s, *cuts, e)
+            values = [fid(s, e)] + [fid(a, b) for a, b in zip(bounds, bounds[1:])]
+            binding: dict = {}
+            if all(value == wid if x.is_universe else binding.setdefault(x, value) == value
+                   for x, value in zip(positions, values)):
+                rows.add(tuple(binding[x] for x in schema))
+    return Relation(schema, frozenset(rows))
+
+
+class TestMaterializeReference:
+    def test_every_atom_shape_on_short_words(self, ab):
+        from wordeq.frontend import parse_regex
+        x, y, z = v("x"), v("y"), v("z")
+        atoms = [
+            SmallEquation(z, (x, y)),
+            SmallEquation(x, (y, y)),
+            SmallEquation(UNIVERSE, (x, y)),
+            SmallEquation(x, (UNIVERSE,)),
+            SmallEquation(x, (y,)),
+            SmallEquation(x, (y, UNIVERSE)),
+            SmallEquation(z, (x, y, x)),
+            SmallEquation(UNIVERSE, (x, y, z)),
+            RegularConstraint(UNIVERSE, parse_regex("(ab)*(a|'')", ab)),
+            RegularConstraint(x, parse_regex("a(a|b)*", ab)),
+        ]
+        for w in all_words("ab", 7):
+            for atom in atoms:
+                ix = build_index(w)
+                got = materialize_atom(ix, atom)
+                assert got == slow_relation(ix, atom), (w, atom)
+
+    def test_wrong_arity_raises(self):
+        x, y = v("x"), v("y")
+        with pytest.raises(ValueError):
+            Relation((x, y), frozenset({(1, 2), (3,)}))
+        with pytest.raises(ValueError):
+            Relation((x,), frozenset({(1, 2)}))
+        with pytest.raises(ValueError):
+            Relation((), frozenset({(1,)}))
+        assert Relation((x, y), frozenset()).rows == frozenset()
+        assert Relation((), frozenset({()})).rows == frozenset({()})
 
 
 class TestSemijoin:

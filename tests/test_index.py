@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_regex
+from conftest import all_words, random_regex
 from wordeq.index import EPSILON_ID, Span, build_index
 from wordeq.model import InvalidSpanError
 from wordeq.nfa import thompson
@@ -60,6 +60,46 @@ class TestFactorIdentity:
         ix = build_index("banana")
         fid = ix.id_of_word("an")
         assert ix.canonical_span(fid) == Span(2, 4)
+
+
+class TestFactorTable:
+    """The table built by `all_factor_ids` against the span-validating
+    `factor_id`, on every word over {a, b} of length <= 7."""
+
+    def test_table_matches_factor_id(self):
+        for w in all_words("ab", 7):
+            n = len(w)
+            ix = build_index(w)
+            ix.all_factor_ids()
+            # A second index numbered through factor_id alone, in the table's
+            # row-major order, hands out the same ids.
+            ref = build_index(w)
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    assert ix.factor_at(i, j) == ref.factor_id(Span(i + 1, j + 1)), (w, i, j)
+            for fid in ix.all_factor_ids():
+                s = ix.canonical_span(fid)
+                assert s.start - 1 == w.find(ix.word_of(fid)), (w, fid)
+                assert ix.factor_at(s.start - 1, s.end - 1) == fid
+
+    def test_ids_before_the_table_keep_their_numbers(self, ab):
+        from wordeq.frontend import parse_regex
+        regex = parse_regex("b(a|b)*", ab)
+        for w in all_words("ab", 7):
+            ix = build_index(w)
+            early = {w: ix.whole_word_id()}
+            for factor in sorted(brute_distinct_factors(w), reverse=True)[::2]:
+                early[factor] = ix.id_of_word(factor)
+            early.update((ix.word_of(fid), fid) for fid in ix.regex_members(regex))
+            assert len(set(early.values())) == len(early)
+            ix.all_factor_ids()
+            for factor, fid in early.items():
+                assert ix.id_of_word(factor) == fid, (w, factor)
+                at = w.find(factor)
+                assert ix.factor_at(at, at + len(factor)) == fid, (w, factor)
+            n = len(w)
+            assert all(ix.word_of(ix.factor_at(i, j)) == w[i:j]
+                       for i in range(n + 1) for j in range(i, n + 1)), w
 
 
 class TestConcat:
