@@ -47,8 +47,8 @@ class ResultTuple:
     def to_json_obj(self, ix: WordIndex) -> dict:
         out = {}
         for v, f in self.assignment:
-            s = ix.canonical_span(f)
-            out[v.name] = {"word": ix.word_of(f), "span": [s.start, s.end]}
+            start, end = ix.occurrence(f)
+            out[v.name] = {"word": ix.word[start:end], "span": [start + 1, end + 1]}
         return out
 
 
@@ -94,8 +94,9 @@ def _rows_from_tuples(positions: list[Variable], wid: int,
 
 
 def materialize_atom(ix: WordIndex, atom) -> Relation:
-    """Relation of one atom: concatenation splits, the copy diagonal, or the
-    factors a regex accepts.  Universe positions are pre-bound to the word."""
+    """Relation of one atom: concatenation splits (squares cut only at the
+    middle), the copy diagonal, or the factors a regex accepts.  Universe
+    positions are pre-bound to the word."""
     wid = ix.whole_word_id()
     if isinstance(atom, RegularConstraint):
         members = ix.regex_members(atom.regex)
@@ -108,13 +109,20 @@ def materialize_atom(ix: WordIndex, atom) -> Relation:
     parts = len(atom.rhs)
     if parts == 1:
         if atom.lhs.is_universe or atom.rhs[0].is_universe:
-            tuples: Iterable[tuple[int, ...]] = [(wid, wid)]
-        else:
-            tuples = ((f, f) for f in ix.all_factor_ids())
-    elif atom.lhs.is_universe:
-        tuples = ((wid, *rest) for rest in ix.splits(wid, parts))
+            return _rows_from_tuples(positions, wid, [(wid, wid)])
+        return _rows_from_tuples(positions, wid, ((f, f) for f in ix.all_factor_ids()))
+    if parts == 2 and atom.rhs[0] == atom.rhs[1]:
+        def cuts(z: int) -> Iterable[tuple[int, ...]]:
+            # z = y.y: only the middle cut can give equal halves.
+            root = ix.square_root(z)
+            return () if root is None else ((root, root),)
     else:
-        tuples = ((z, *rest) for z in ix.all_factor_ids() for rest in ix.splits(z, parts))
+        def cuts(z: int) -> Iterable[tuple[int, ...]]:
+            return ix.splits(z, parts)
+    if atom.lhs.is_universe:
+        # The left side is the word itself: the rows are its cuts.
+        return _rows_from_tuples(positions[1:], wid, cuts(wid))
+    tuples = ((z, *cut) for z in ix.all_factor_ids() for cut in cuts(z))
     return _rows_from_tuples(positions, wid, tuples)
 
 
@@ -181,36 +189,42 @@ def full_reduction(plan: Plan, ix: WordIndex) -> list[Relation]:
     return rels
 
 
+def _rows_consistent(rel: Relation, binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
+    bound_idx = [(i, binding[x]) for i, x in enumerate(rel.schema) if x in binding]
+    for row in rel.rows:
+        if all(row[i] == val for i, val in bound_idx):
+            child = dict(binding)
+            child.update(zip(rel.schema, row))
+            yield child
+
+
+# The walk is two module-level functions rather than closures over each other:
+# mutually recursive closures form a reference cycle, which would keep the
+# reduced relations alive after an enumeration until the cycle collector runs.
+
+def _walk(rels: list[Relation], children: list[list[int]], v: int,
+          binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
+    for b in _rows_consistent(rels[v], binding):
+        yield from _descend(rels, children, children[v], 0, b)
+
+
+def _descend(rels: list[Relation], children: list[list[int]], kids: list[int], at: int,
+             binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
+    if at == len(kids):
+        yield binding
+        return
+    for b in _walk(rels, children, kids[at], binding):
+        yield from _descend(rels, children, kids, at + 1, b)
+
+
 def enumerate_results(plan: Plan, ix: WordIndex) -> Iterator[ResultTuple]:
     """Backtracking join along the reduced tree, projected onto the head and
     deduplicated at word level (factor ids are canonical per word)."""
     rels = full_reduction(plan, ix)
     order, children, _ = _orientation(plan.tree)
-    root = order[0]
     head = plan.query.head
-
-    def rows_consistent(v: int, binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
-        rel = rels[v]
-        bound_idx = [(i, binding[x]) for i, x in enumerate(rel.schema) if x in binding]
-        for row in rel.rows:
-            if all(row[i] == val for i, val in bound_idx):
-                child = dict(binding)
-                child.update(zip(rel.schema, row))
-                yield child
-
-    def walk(v: int, binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
-        for b in rows_consistent(v, binding):
-            yield from _descend(children[v], 0, b)
-
-    def _descend(kids: list[int], at: int, binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
-        if at == len(kids):
-            yield binding
-            return
-        for b in walk(kids[at], binding):
-            yield from _descend(kids, at + 1, b)
-
     seen: set[tuple[int, ...]] = set()
-    for binding in walk(root, {}):
+    for binding in _walk(rels, children, order[0], {}):
         key = tuple(binding[v] for v in head)
         if key in seen:
             continue

@@ -2,20 +2,25 @@
 lookup and per-factor regex membership.
 
 Factor ids canonicalize factor equality: two spans get the same id exactly
-when they spell the same word, and each id keeps the leftmost span it
-occurs at.  Ids are handed out lazily by `_register`, which looks the factor
-up by its string; the whole word, single lookups (`id_of_word`, `factor_id`)
-and regex matches (`regex_members`) go this way and cost no more than the
-factors they touch, so they also serve long words.
+when they spell the same word.  Each id is keyed by its leftmost occurrence,
+(start, length) packed into one int, so the index keeps no factor strings:
+`word_of` slices the canonical span on demand.  Ids are handed out lazily by
+`_leftmost_id` once the leftmost start is known.  A prefix is its own leftmost
+occurrence, and the leftmost start of every suffix comes from one Z-function
+pass over the reversed word (Gusfield 1997, ch. 1), run on first use.  So
+the cuts of the whole word (`splits(whole_word_id(), 2)`), all a grounded
+binary atom needs, are integer-key lookups with no slicing, string hashing or
+search: O(n) time and memory.  Other single lookups (`id_of_word`,
+`factor_id`, `regex_members` before the table, and the one middle cut of
+`square_root`) find the leftmost start with one `str.find`.
 
 Operations that need every distinct factor (`all_factor_ids`, relations of
 non-grounded atoms) first build the factor table: `table[i][k]` is the id of
-`w[i:i+k]` (0-based), numbered through `_register` in one pass over all
-n(n+1)/2 spans, so ids handed out before keep their numbers.  It holds about
-n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is never built by the
-constructor; `factor_at` reads it once it exists and falls back to
-registering the slice before.  `splits` cuts a factor into parts: with the
-table built, a binary cut is two table reads, with no string slicing.
+`w[i:i+k]` (0-based).  A trie over (parent id, letter) numbers the spans in
+order of start, so the first visit of a factor is its leftmost start: O(n^2)
+work in all, and ids handed out before keep their numbers.  The table holds
+about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is never built by
+the constructor or for grounded atoms; with it, a cut is two list reads.
 """
 from __future__ import annotations
 
@@ -41,6 +46,41 @@ class Span:
             raise InvalidSpanError(f"bad span [{self.start},{self.end})")
 
 
+def z_function(s: str) -> list[int]:
+    """z[p] = length of the longest common prefix of s and s[p:]; z[0] = |s|."""
+    n = len(s)
+    z = [0] * n
+    if n:
+        z[0] = n
+    left = right = 0
+    for p in range(1, n):
+        k = min(right - p, z[p - left]) if p < right else 0
+        while p + k < n and s[k] == s[p + k]:
+            k += 1
+        z[p] = k
+        if p + k > right:
+            left, right = p, p + k
+    return z
+
+
+def leftmost_suffix_starts(word: str) -> list[int]:
+    """starts[m] = the leftmost start of the suffix of length m, in O(n).
+
+    On the reversed word, z[n - e] is the longest common suffix of `word` and
+    `word[:e]`; the suffix of length m first ends at the smallest e where that
+    reaches m, and the smallest such e only grows with m."""
+    n = len(word)
+    z = z_function(word[::-1])
+    starts = [0] * (n + 1)
+    reach = 0
+    for end in range(1, n + 1):
+        common = z[n - end]
+        while reach < common:
+            reach += 1
+            starts[reach] = end - reach
+    return starts
+
+
 class WordIndex:
     """Factor ids and the factor table are filled in on first use, so an
     index is not safe to share between threads."""
@@ -52,25 +92,37 @@ class WordIndex:
                     raise ValueError(f"input byte {ch!r} at offset {i} is outside the alphabet")
         self.word = word
         self.n = len(word)
-        self._ids: dict[str, int] = {"": EPSILON_ID}
-        self._canonical: list[Span] = [Span(1, 1)]
-        self._words: list[str] = [""]
+        self._stride = self.n + 1
+        # Leftmost occurrence (start * stride + length) <-> id.
+        self._ids: dict[int, int] = {0: EPSILON_ID}
+        self._spans: list[int] = [0]
+        self._word_cuts: Optional[list[tuple[int, int]]] = None
         self._table: Optional[list[list[int]]] = None
 
     # -- identity -------------------------------------------------------------
 
-    def _register(self, factor: str) -> int:
-        fid = self._ids.get(factor)
-        if fid is not None:
-            return fid
-        at = self.word.find(factor)
-        if at < 0:
-            raise ValueError(f"{factor!r} is not a factor of the input word")
-        fid = len(self._words)
-        self._ids[factor] = fid
-        self._canonical.append(Span(at + 1, at + 1 + len(factor)))
-        self._words.append(factor)
+    def _leftmost_id(self, start: int, length: int) -> int:
+        """Id of the factor whose leftmost occurrence is w[start:start+length];
+        the caller guarantees it is leftmost (start 0 when length is 0)."""
+        key = start * self._stride + length
+        fid = self._ids.get(key)
+        if fid is None:
+            fid = self._ids[key] = len(self._spans)
+            self._spans.append(key)
         return fid
+
+    def occurrence(self, fid: int) -> tuple[int, int]:
+        """Leftmost occurrence as 0-based, half-open (start, end)."""
+        start, length = divmod(self._spans[fid], self._stride)
+        return start, start + length
+
+    def _whole_word_cuts(self) -> list[tuple[int, int]]:
+        """(prefix id, suffix id) at each cut of the whole word, built once."""
+        if self._word_cuts is None:
+            n, ident = self.n, self._leftmost_id
+            suffix = leftmost_suffix_starts(self.word)
+            self._word_cuts = [(ident(0, k), ident(suffix[n - k], n - k)) for k in range(n + 1)]
+        return self._word_cuts
 
     def check_span(self, s: Span) -> None:
         if s.end > self.n + 1:
@@ -86,64 +138,88 @@ class WordIndex:
         0 <= i <= j <= n (`factor_id` is the validating form)."""
         if self._table is not None:
             return self._table[i][j - i]
-        return self._register(self.word[i:j])
+        return self._leftmost_id(self.word.find(self.word[i:j], 0, j), j - i)
 
     def id_of_word(self, factor: str) -> Optional[int]:
-        fid = self._ids.get(factor)
-        if fid is not None:
-            return fid
-        if factor and self.word.find(factor) < 0:
-            return None
-        return self._register(factor)
+        at = self.word.find(factor)
+        return None if at < 0 else self._leftmost_id(at, len(factor))
 
     def word_of(self, fid: int) -> str:
-        return self._words[fid]
+        start, end = self.occurrence(fid)
+        return self.word[start:end]
 
     def canonical_span(self, fid: int) -> Span:
         """Leftmost occurrence (smallest start, then smallest end)."""
-        return self._canonical[fid]
+        start, end = self.occurrence(fid)
+        return Span(start + 1, end + 1)
 
     def whole_word_id(self) -> int:
-        return self._register(self.word)
+        return self._leftmost_id(0, self.n)
 
     def factor_count(self) -> int:
         self._materialize_all()
-        return len(self._words)
+        return len(self._spans)
 
     def _materialize_all(self) -> None:
         if self._table is not None:
             return
-        word, n, register = self.word, self.n, self._register
-        self._table = [[EPSILON_ID] + [register(word[i:j]) for j in range(i + 1, n + 1)]
-                       for i in range(n + 1)]
+        n, leftmost = self.n, self._leftmost_id
+        codes = {ch: c for c, ch in enumerate(dict.fromkeys(self.word))}
+        sigma = max(len(codes), 1)
+        letters = [codes[ch] for ch in self.word]
+        child: dict[int, int] = {}          # parent id * sigma + letter -> id
+        table = []
+        for i in range(n + 1):
+            row = [EPSILON_ID]
+            node = EPSILON_ID
+            for j in range(i, n):
+                edge = node * sigma + letters[j]
+                node = child.get(edge, -1)
+                if node < 0:
+                    # First visit in order of start: w[i:j+1] is leftmost here.
+                    node = child[edge] = leftmost(i, j + 1 - i)
+                row.append(node)
+            table.append(row)
+        self._table = table
 
     def all_factor_ids(self) -> list[int]:
         self._materialize_all()
-        return list(range(len(self._words)))
+        return list(range(len(self._spans)))
 
     # -- concatenation ----------------------------------------------------------
 
     def concat_id(self, a: int, b: int) -> Optional[int]:
         """Id of word(a)+word(b) when that word occurs in w, else None."""
-        return self.id_of_word(self._words[a] + self._words[b])
+        return self.id_of_word(self.word_of(a) + self.word_of(b))
 
     def splits(self, fid: int, parts: int) -> Iterable[tuple[int, ...]]:
         """Every way to write factor `fid` as a concatenation of `parts`
         factors, as id tuples.  Each cut of its canonical occurrence gives
-        one tuple, and distinct cuts give distinct tuples."""
+        one tuple, and distinct cuts give distinct tuples.  The whole word's
+        binary cuts are one list kept by the index: callers must not modify it."""
         if parts == 1:
             return [(fid,)]
-        start = self._canonical[fid].start - 1
-        end = start + len(self._words[fid])
+        start, end = self.occurrence(fid)
+        length = end - start
         table = self._table
         if parts == 2 and table is not None:
             row = table[start]
-            length = end - start
             return [(row[k], table[start + k][length - k]) for k in range(length + 1)]
+        if parts == 2 and length == self.n:
+            return self._whole_word_cuts()
         at = self.factor_at
         return (tuple(at(b[t], b[t + 1]) for t in range(parts))
                 for b in ((start, *cuts, end) for cuts in
                           combinations_with_replacement(range(start, end + 1), parts - 1)))
+
+    def square_root(self, fid: int) -> Optional[int]:
+        """Id of r with word(fid) = r.r, else None: one cut, at the middle."""
+        start, end = self.occurrence(fid)
+        if (end - start) % 2:
+            return None
+        half = (start + end) // 2
+        root = self.factor_at(start, half)
+        return root if root == self.factor_at(half, end) else None
 
     def enumerate_concat_triples(self) -> Iterator[tuple[int, int, int]]:
         """All (z, x, y) over distinct factors with word(z) = word(x)+word(y);
@@ -155,18 +231,25 @@ class WordIndex:
     # -- regex membership ---------------------------------------------------------
 
     def regex_members(self, regex: RegexAst) -> set[int]:
-        """Ids of exactly those distinct factors the regex accepts."""
+        """Ids of exactly those distinct factors the regex accepts.  The NFA
+        runs as a lazy DFA: each (state set, letter) step is taken once."""
         nfa = thompson(regex)
+        initial = nfa.initial()
+        moves: dict[tuple[frozenset[int], str], frozenset[int]] = {}
         out: set[int] = set()
-        if nfa.is_accepting(nfa.initial()):
+        word, n, accept = self.word, self.n, nfa.accept
+        if accept in initial:
             out.add(EPSILON_ID)
-        for i in range(self.n):
-            states = nfa.initial()
-            for j in range(i, self.n):
-                states = nfa.step(states, self.word[j])
+        for i in range(n):
+            states = initial
+            for j in range(i, n):
+                move = (states, word[j])
+                states = moves.get(move)
+                if states is None:
+                    states = moves[move] = nfa.step(*move)
                 if not states:
                     break
-                if nfa.is_accepting(states):
+                if accept in states:
                     out.add(self.factor_at(i, j + 1))
         return out
 

@@ -102,6 +102,10 @@ class Variable:
     def __repr__(self) -> str:
         return self.name
 
+    def __hash__(self) -> int:
+        # The name alone decides the flag (see __post_init__).
+        return hash(self.name)
+
 
 #: The universe variable, always bound to the input word.
 UNIVERSE = Variable(UNIVERSE_NAME, True)

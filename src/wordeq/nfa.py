@@ -57,40 +57,42 @@ class Nfa:
 def thompson(ast: RegexAst) -> Nfa:
     """Compile a regex AST into an NFA via the standard construction."""
     nfa = Nfa()
-
-    def build(node: RegexAst) -> tuple[int, int]:
-        if isinstance(node, REmpty):
-            return nfa._state(), nfa._state()
-        if isinstance(node, REpsilon):
-            s, t = nfa._state(), nfa._state()
-            nfa.eps[s].append(t)
-            return s, t
-        if isinstance(node, RLit):
-            s, t = nfa._state(), nfa._state()
-            nfa.sym[s].append((node.symbol, t))
-            return s, t
-        if isinstance(node, RUnion):
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            s, t = nfa._state(), nfa._state()
-            nfa.eps[s].extend([ls, rs])
-            nfa.eps[lt].append(t)
-            nfa.eps[rt].append(t)
-            return s, t
-        if isinstance(node, RConcat):
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            nfa.eps[lt].append(rs)
-            return ls, rt
-        if isinstance(node, RStar):
-            is_, it = build(node.inner)
-            s, t = nfa._state(), nfa._state()
-            nfa.eps[s].extend([is_, t])
-            nfa.eps[it].extend([is_, t])
-            return s, t
-        raise TypeError(f"unknown regex node {node!r}")
-
-    s, t = build(ast)
+    s, t = _build(nfa, ast)
     nfa.eps[nfa.start].append(s)
     nfa.eps[t].append(nfa.accept)
     return nfa
+
+
+def _build(nfa: Nfa, node: RegexAst) -> tuple[int, int]:
+    """Entry and exit state of the fragment for `node` (module-level rather
+    than a recursive closure, which would be a reference cycle)."""
+    if isinstance(node, REmpty):
+        return nfa._state(), nfa._state()
+    if isinstance(node, REpsilon):
+        s, t = nfa._state(), nfa._state()
+        nfa.eps[s].append(t)
+        return s, t
+    if isinstance(node, RLit):
+        s, t = nfa._state(), nfa._state()
+        nfa.sym[s].append((node.symbol, t))
+        return s, t
+    if isinstance(node, RUnion):
+        ls, lt = _build(nfa, node.left)
+        rs, rt = _build(nfa, node.right)
+        s, t = nfa._state(), nfa._state()
+        nfa.eps[s].extend([ls, rs])
+        nfa.eps[lt].append(t)
+        nfa.eps[rt].append(t)
+        return s, t
+    if isinstance(node, RConcat):
+        ls, lt = _build(nfa, node.left)
+        rs, rt = _build(nfa, node.right)
+        nfa.eps[lt].append(rs)
+        return ls, rt
+    if isinstance(node, RStar):
+        is_, it = _build(nfa, node.inner)
+        s, t = nfa._state(), nfa._state()
+        nfa.eps[s].extend([is_, t])
+        nfa.eps[it].extend([is_, t])
+        return s, t
+    raise TypeError(f"unknown regex node {node!r}")

@@ -107,6 +107,9 @@ class TestMaterializeReference:
             SmallEquation(z, (x, y)),
             SmallEquation(x, (y, y)),
             SmallEquation(UNIVERSE, (x, y)),
+            SmallEquation(UNIVERSE, (x, x)),
+            SmallEquation(x, (UNIVERSE, UNIVERSE)),
+            SmallEquation(x, (x, x)),
             SmallEquation(x, (UNIVERSE,)),
             SmallEquation(x, (y,)),
             SmallEquation(x, (y, UNIVERSE)),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_words, random_regex
-from wordeq.index import EPSILON_ID, Span, build_index
+from wordeq.index import EPSILON_ID, Span, build_index, leftmost_suffix_starts
 from wordeq.model import InvalidSpanError
-from wordeq.nfa import thompson
+from wordeq.nfa import Nfa, thompson
 
 
 def brute_distinct_factors(w: str) -> set[str]:
@@ -102,6 +102,98 @@ class TestFactorTable:
                        for i in range(n + 1) for j in range(i, n + 1)), w
 
 
+class TestSuffixStarts:
+    """The Z-function pass against `str.find` on every suffix."""
+
+    @staticmethod
+    def check(w: str) -> None:
+        n = len(w)
+        starts = leftmost_suffix_starts(w)
+        assert len(starts) == n + 1
+        for k in range(n + 1):
+            assert starts[n - k] == w.find(w[k:]), (w, k)
+
+    def test_every_short_word(self):
+        for w in all_words("ab", 10):
+            self.check(w)
+
+    def test_random_long_words(self):
+        rng = random.Random(11)
+        for t in range(20):
+            n = rng.randint(500, 2000)
+            if t % 2:
+                # A repeated block: long suffixes recur far to the left.
+                block = "".join(rng.choice("ab") for _ in range(rng.randint(1, 40)))
+                w = (block * (n // len(block) + 1))[:n]
+            else:
+                w = "".join(rng.choice("ab") for _ in range(n))
+            self.check(w)
+
+
+class TestWholeWordSplits:
+    """Grounded cuts read prefix and suffix ids with no factor table."""
+
+    def test_cuts_match_factor_ids(self):
+        for w in all_words("ab", 8):
+            n = len(w)
+            ix = build_index(w)
+            wid = ix.whole_word_id()
+            cuts = list(ix.splits(wid, 2))
+            # A second index numbered through factor_id alone, cut by cut.
+            ref = build_index(w)
+            assert ref.factor_id(Span(1, n + 1)) == wid
+            expected = [(ref.factor_id(Span(1, k + 1)), ref.factor_id(Span(k + 1, n + 1)))
+                        for k in range(n + 1)]
+            assert cuts == expected, w
+            assert cuts == [(ix.factor_at(0, k), ix.factor_at(k, n)) for k in range(n + 1)], w
+            for x, y in cuts:
+                assert ix.word_of(x) + ix.word_of(y) == w
+                for fid in (x, y):
+                    assert ix.canonical_span(fid).start - 1 == w.find(ix.word_of(fid)), (w, fid)
+
+    def test_square_root(self):
+        for w in all_words("ab", 8):
+            for build_table in (False, True):
+                ix = build_index(w)
+                if build_table:
+                    ix.all_factor_ids()
+                    fids = ix.all_factor_ids()
+                else:
+                    fids = [ix.whole_word_id()]
+                for fid in fids:
+                    word = ix.word_of(fid)
+                    half = word[:len(word) // 2]
+                    expect = ix.id_of_word(half) if half + half == word else None
+                    assert ix.square_root(fid) == expect, (w, word)
+
+    def test_earlier_ids_keep_their_numbers(self, ab):
+        from wordeq.frontend import parse_regex
+        regex = parse_regex("b(a|b)*", ab)
+        for w in all_words("ab", 7):
+            ix = build_index(w)
+            early = {factor: ix.id_of_word(factor)
+                     for factor in sorted(brute_distinct_factors(w))[::2]}
+            early.update((ix.word_of(fid), fid) for fid in ix.regex_members(regex))
+            cuts = list(ix.splits(ix.whole_word_id(), 2))
+            for factor, fid in early.items():
+                assert ix.id_of_word(factor) == fid, (w, factor)
+            for k, (x, y) in enumerate(cuts):
+                assert ix.word_of(x) == w[:k] and ix.word_of(y) == w[k:], (w, k)
+                assert early.get(w[:k], x) == x and early.get(w[k:], y) == y, (w, k)
+
+    def test_long_word_builds_no_table(self):
+        from wordeq.evaluator import materialize_atom
+        from wordeq.model import SmallEquation, UNIVERSE, Variable
+        x, y = Variable("x"), Variable("y")
+        w = "ab" * 2000
+        ix = build_index(w)
+        rel = materialize_atom(ix, SmallEquation(UNIVERSE, (x, y)))
+        assert len(rel.rows) == len(w) + 1
+        square = materialize_atom(ix, SmallEquation(UNIVERSE, (x, x)))
+        assert {ix.word_of(r) for r, in square.rows} == {"ab" * 1000}
+        assert ix._table is None
+
+
 class TestConcat:
     def test_banana(self):
         ix = build_index("banana")
@@ -178,3 +270,19 @@ class TestRegexMembers:
         assert members == {"a", "ab"}
         members = {ix.word_of(f) for f in ix.regex_members(parse_regex("a(b|ba)*", ab))}
         assert members == {"a", "ab", "aba", "abab"}
+
+    def test_each_step_taken_once(self, ab, monkeypatch):
+        from wordeq.frontend import parse_regex
+        calls = []
+        step = Nfa.step
+
+        def counted(self, states, symbol):
+            calls.append(symbol)
+            return step(self, states, symbol)
+
+        monkeypatch.setattr(Nfa, "step", counted)
+        ix = build_index("ab" * 500)
+        members = {ix.word_of(f) for f in ix.regex_members(parse_regex("a*b", ab))}
+        assert members == {"b", "ab"}
+        # a*b takes a handful of (state set, letter) steps, however long the word.
+        assert len(calls) <= 8

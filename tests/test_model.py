@@ -18,6 +18,18 @@ from wordeq.model import (
 )
 
 
+class TestVariable:
+    def test_hash_is_the_name_hash(self):
+        # The name decides the universe flag, so hashing the name alone is
+        # consistent with equality.
+        assert hash(Variable("x")) == hash("x")
+        assert hash(UNIVERSE) == hash(UNIVERSE.name)
+        assert {Variable("x"): 1}[Variable("x")] == 1
+        assert Variable("x") != Variable("y")
+        with pytest.raises(ValueError):
+            Variable(UNIVERSE.name)
+
+
 class TestVarsOf:
     def test_mixed_terminals_and_variables(self):
         # ab x ba x y x
