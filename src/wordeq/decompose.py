@@ -190,27 +190,31 @@ def _derive_bracketing(deriv: _Derivation) -> Optional[Bracketing]:
     When one sibling is justified by an edge child of the other, that edge is
     committed so the sibling is expanded the same way.
     """
-    ivs = deriv.ivs
-
-    def build(i: int, k: int, committed: Optional[int]) -> Optional[Bracketing]:
-        if i == k:
-            return BLeaf(ivs.pat[i - 1])
-        # A committed split must still run the guard logic so that sharing
-        # constraints propagate to its own children.
-        chosen = _choose_split(deriv, i, k, forced=committed)
-        if chosen is None:
-            return None
-        j, commitment = chosen
-        side, x = commitment if commitment is not None else (None, None)
-        left = build(i, j, x if side == "left" else None)
-        right = build(j + 1, k, x if side == "right" else None)
-        if left is None or right is None:
-            return None
-        return BNode((left, right))
-
-    if (1, ivs.n) not in deriv.nodes:
+    if (1, deriv.ivs.n) not in deriv.nodes:
         return None
-    return build(1, ivs.n, None)
+    return _bracketing_of(deriv, 1, deriv.ivs.n, None)
+
+
+# `_bracketing_of` and `_add_preorder` recurse as module-level functions, not
+# closures: a closure that calls itself is a reference cycle, which would keep
+# every plan's tables alive until the cycle collector runs.
+
+def _bracketing_of(deriv: _Derivation, i: int, k: int,
+                   committed: Optional[int]) -> Optional[Bracketing]:
+    if i == k:
+        return BLeaf(deriv.ivs.pat[i - 1])
+    # A committed split must still run the guard logic so that sharing
+    # constraints propagate to its own children.
+    chosen = _choose_split(deriv, i, k, forced=committed)
+    if chosen is None:
+        return None
+    j, commitment = chosen
+    side, x = commitment if commitment is not None else (None, None)
+    left = _bracketing_of(deriv, i, j, x if side == "left" else None)
+    right = _bracketing_of(deriv, j + 1, k, x if side == "right" else None)
+    if left is None or right is None:
+        return None
+    return BNode((left, right))
 
 
 _Side = str
@@ -289,33 +293,10 @@ def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars,
         return TwoFcCq(head=(), equations=(SmallEquation(root, (b.var,)),), introduced=frozenset())
     if ivs is None:
         ivs = _Intervals(bracketing_pattern(b))
-    fid = ivs.fid
     labels: list[Variable] = []
     fids: list[int] = []
     children: list[tuple[int, ...]] = []
-
-    def build(node: Bracketing, start: int) -> int:
-        """Add the node and its subtree in pre-order; returns the position
-        after the last one it spans."""
-        idx = len(labels)
-        if isinstance(node, BLeaf):
-            labels.append(node.var)
-            fids.append(-1)
-            children.append(())
-            return start + 1
-        labels.append(root)
-        fids.append(-1)
-        children.append(())
-        kids = []
-        pos = start
-        for c in node.children:  # type: ignore[union-attr]
-            kids.append(len(labels))
-            pos = build(c, pos)
-        children[idx] = tuple(kids)
-        fids[idx] = fid[(start, pos - 1)]
-        return pos
-
-    build(b, 1)
+    _add_preorder(b, 1, root, ivs.fid, labels, fids, children)
     by_fid: dict[int, Variable] = {}
     for idx in range(1, len(labels)):
         f = fids[idx]
@@ -327,6 +308,30 @@ def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars,
                       for v in _expanded(labels, children))
     # The root is the only node at depth 0, so its equation comes last.
     return TwoFcCq(head=(), equations=equations, introduced=frozenset(eq.lhs for eq in equations[:-1]))
+
+
+def _add_preorder(node: Bracketing, start: int, root: Variable, fid: dict[Interval, int],
+                  labels: list[Variable], fids: list[int],
+                  children: list[tuple[int, ...]]) -> int:
+    """Add the node and its subtree in pre-order; returns the position after
+    the last one it spans."""
+    idx = len(labels)
+    if isinstance(node, BLeaf):
+        labels.append(node.var)
+        fids.append(-1)
+        children.append(())
+        return start + 1
+    labels.append(root)
+    fids.append(-1)
+    children.append(())
+    kids = []
+    pos = start
+    for c in node.children:  # type: ignore[union-attr]
+        kids.append(len(labels))
+        pos = _add_preorder(c, pos, root, fid, labels, fids, children)
+    children[idx] = tuple(kids)
+    fids[idx] = fid[(start, pos - 1)]
+    return pos
 
 
 def find_acyclic_decomposition(p: Pattern, root: Variable = UNIVERSE,

@@ -1,10 +1,16 @@
 """Materialized per-atom relations over factor ids, semi-join reduction over
-the plan's join tree, and result enumeration."""
+the plan's join tree, and result enumeration.
+
+Relations are generated from the join tree's most selective node outward, in
+BFS order: each child only for the ids its parent's rows allow, then
+semi-joined with the parent, so dangling tuples are mostly never built
+(Yannakakis 1981, "Algorithms for acyclic database schemes")."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .index import WordIndex
 from .model import (
@@ -93,25 +99,62 @@ def _rows_from_tuples(positions: list[Variable], wid: int,
     return Relation(schema, frozenset(rows))
 
 
-def materialize_atom(ix: WordIndex, atom) -> Relation:
+def _prefix_walk(table: list[list[int]], xs: AbstractSet[int],
+                 lengths: set[int]) -> Iterator[tuple[int, int, int]]:
+    """(z, x, y) with z = x.y for every occurrence of an x in `xs` (whose
+    lengths are `lengths`), extended by each factor that follows it."""
+    n = len(table) - 1
+    for i, row in enumerate(table):
+        for length in lengths:
+            if length <= n - i and row[length] in xs:
+                yield from zip(row[length:], repeat(row[length]), table[i + length])
+
+
+def _suffix_walk(table: list[list[int]], ys: AbstractSet[int],
+                 lengths: set[int]) -> Iterator[tuple[int, int, int]]:
+    """(z, x, y) with z = x.y for every occurrence of a y in `ys`, extended
+    by each factor that precedes it: the mirror of `_prefix_walk`."""
+    n = len(table) - 1
+    for p, row in enumerate(table):
+        for length in lengths:
+            if length <= n - p and row[length] in ys:
+                y, end = row[length], p + length
+                for s in range(p + 1):
+                    at = table[s]
+                    yield at[end - s], at[p - s], y
+
+
+def materialize_atom(ix: WordIndex, atom,
+                     allowed: Optional[dict[Variable, AbstractSet[int]]] = None) -> Relation:
     """Relation of one atom: concatenation splits (squares cut only at the
     middle), the copy diagonal, or the factors a regex accepts.  Universe
-    positions are pre-bound to the word."""
+    positions are pre-bound to the word.
+
+    `allowed` maps variables to the ids a neighbour's rows allow them.  The
+    relation then keeps every row inside it and may omit rows outside it:
+    only allowed left sides are cut, and with a free left side the table is
+    walked from the allowed occurrences of one right-side variable."""
+    allowed = allowed or {}
     wid = ix.whole_word_id()
     if isinstance(atom, RegularConstraint):
-        members = ix.regex_members(atom.regex)
         if atom.var.is_universe:
-            return Relation((), frozenset({()} if wid in members else set()))
+            return Relation((), frozenset({()} if ix.regex_members(atom.regex, {wid}) else set()))
+        members = ix.regex_members(atom.regex, allowed.get(atom.var))
         return Relation((atom.var,), frozenset((m,) for m in members))
 
     assert isinstance(atom, SmallEquation)
     positions = [atom.lhs, *atom.rhs]
     parts = len(atom.rhs)
+    zs = allowed.get(atom.lhs)
     if parts == 1:
         if atom.lhs.is_universe or atom.rhs[0].is_universe:
             return _rows_from_tuples(positions, wid, [(wid, wid)])
-        return _rows_from_tuples(positions, wid, ((f, f) for f in ix.all_factor_ids()))
-    if parts == 2 and atom.rhs[0] == atom.rhs[1]:
+        if zs is None:
+            zs = allowed.get(atom.rhs[0])
+        return _rows_from_tuples(positions, wid, ((f, f) for f in (
+            ix.all_factor_ids() if zs is None else zs)))
+    square = parts == 2 and atom.rhs[0] == atom.rhs[1]
+    if square:
         def cuts(z: int) -> Iterable[tuple[int, ...]]:
             # z = y.y: only the middle cut can give equal halves.
             root = ix.square_root(z)
@@ -122,7 +165,14 @@ def materialize_atom(ix: WordIndex, atom) -> Relation:
     if atom.lhs.is_universe:
         # The left side is the word itself: the rows are its cuts.
         return _rows_from_tuples(positions[1:], wid, cuts(wid))
-    tuples = ((z, *cut) for z in ix.all_factor_ids() for cut in cuts(z))
+    table = ix.factor_table()
+    if zs is None and parts == 2 and not square and not any(x.is_universe for x in atom.rhs):
+        for side, walk in zip(atom.rhs, (_prefix_walk, _suffix_walk)):
+            ids = allowed.get(side)
+            if ids is not None:
+                lengths = {end - start for start, end in map(ix.occurrence, ids)}
+                return _rows_from_tuples(positions, wid, walk(table, ids, lengths))
+    tuples = ((z, *cut) for z in (ix.all_factor_ids() if zs is None else zs) for cut in cuts(z))
     return _rows_from_tuples(positions, wid, tuples)
 
 
@@ -155,8 +205,41 @@ def _orientation(tree: JoinTree, root: int = 0) -> tuple[list[int], list[list[in
     return order, children, parent
 
 
-def _materialize_all(plan_tree: JoinTree, ix: WordIndex) -> list[Relation]:
-    return [materialize_atom(ix, node) for node in plan_tree.nodes]
+def _root(tree: JoinTree, ix: WordIndex, sized: dict[int, Relation]) -> int:
+    """The most selective node: the first grounded equation, else the regular
+    constraint with the fewest members, else node 0.  The constraints sized
+    here keep their relations in `sized`, so no regex runs twice.  With no
+    grounded equation, the equations will build the factor table anyway, so
+    it is built first and the regexes read ids from it."""
+    for i, node in enumerate(tree.nodes):
+        if isinstance(node, SmallEquation) and node.lhs.is_universe:
+            return i
+    if any(isinstance(node, SmallEquation) for node in tree.nodes):
+        ix.factor_table()
+    for i, node in enumerate(tree.nodes):
+        if isinstance(node, RegularConstraint) and not node.var.is_universe:
+            sized[i] = materialize_atom(ix, node)
+    return min(sized, key=lambda i: len(sized[i].rows), default=0)
+
+
+def _materialize_tree(tree: JoinTree, ix: WordIndex
+                      ) -> tuple[list[Relation], list[int], list[list[int]], list[Optional[int]]]:
+    """Relations in BFS order from the most selective node, each child
+    generated only for the ids its parent's relation allows and then
+    semi-joined with it; with the tree's orientation from that root."""
+    sized: dict[int, Relation] = {}
+    order, children, parent = _orientation(tree, _root(tree, ix, sized))
+    rels: list[Relation] = [None] * len(tree.nodes)  # type: ignore[list-item]
+    for v in order:
+        p = parent[v]
+        rel = sized.get(v)
+        if rel is None:
+            allowed = None if p is None else {
+                x: {row[i] for row in rels[p].rows}
+                for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
+            rel = materialize_atom(ix, tree.nodes[v], allowed)
+        rels[v] = rel if p is None else semijoin(rel, rels[p])
+    return rels, order, children, parent
 
 
 def _bottom_up(rels: list[Relation], order: list[int], children: list[list[int]]) -> None:
@@ -174,16 +257,14 @@ def _top_down(rels: list[Relation], order: list[int], parent: list[Optional[int]
 
 def model_check(plan: Plan, ix: WordIndex) -> bool:
     """Bottom-up semi-join pass; true iff the root keeps at least one tuple."""
-    rels = _materialize_all(plan.tree, ix)
-    order, children, _ = _orientation(plan.tree)
+    rels, order, children, _ = _materialize_tree(plan.tree, ix)
     _bottom_up(rels, order, children)
     return bool(rels[order[0]].rows)
 
 
 def full_reduction(plan: Plan, ix: WordIndex) -> list[Relation]:
     """Bottom-up then top-down semi-joins: no dangling tuples remain."""
-    rels = _materialize_all(plan.tree, ix)
-    order, children, parent = _orientation(plan.tree)
+    rels, order, children, parent = _materialize_tree(plan.tree, ix)
     _bottom_up(rels, order, children)
     _top_down(rels, order, parent)
     return rels

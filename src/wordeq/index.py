@@ -14,19 +14,33 @@ search: O(n) time and memory.  Other single lookups (`id_of_word`,
 `factor_id`, `regex_members` before the table, and the one middle cut of
 `square_root`) find the leftmost start with one `str.find`.
 
-Operations that need every distinct factor (`all_factor_ids`, relations of
-non-grounded atoms) first build the factor table: `table[i][k]` is the id of
+`regex_members(regex, among)` checks only the given ids: the lazy DFA runs
+once from each distinct leftmost start among them, up to their farthest end,
+and reads the accepted ids off their (start, end) keys.  The evaluator roots
+its join tree at the first grounded equation, else at the regular constraint
+with the fewest members, else at node 0, and passes each constraint below the
+root the ids its parent allows.  So a constraint on `u` is one run over the
+word, and one on the prefixes of the word (`u = x.y, x in /a*b/`) is one run
+from offset 0 that stops where the DFA dies; only a constraint sized for the
+root choice runs from every start, O(n^2) steps.
+
+`factor_table()` builds the table of every span: `table[i][k]` is the id of
 `w[i:i+k]` (0-based).  A trie over (parent id, letter) numbers the spans in
 order of start, so the first visit of a factor is its leftmost start: O(n^2)
 work in all, and ids handed out before keep their numbers.  The table holds
 about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is never built by
 the constructor or for grounded atoms; with it, a cut is two list reads.
+Relations of non-grounded equations read it: a left side restricted to m
+factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side with one
+right side restricted to ids of k distinct lengths walks the table from
+their occurrences, O(n^2 k); a concatenation nothing restricts (the root of
+its join tree) still costs every cut of every factor, ~n^3/6.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .model import Alphabet, InvalidSpanError, RegexAst
 from .nfa import thompson
@@ -86,10 +100,9 @@ class WordIndex:
     index is not safe to share between threads."""
 
     def __init__(self, word: str, alphabet: Optional[Alphabet] = None):
-        if alphabet is not None:
-            for i, ch in enumerate(word):
-                if ch not in alphabet:
-                    raise ValueError(f"input byte {ch!r} at offset {i} is outside the alphabet")
+        if alphabet is not None and not set(word) <= set(alphabet):
+            i, ch = next((i, ch) for i, ch in enumerate(word) if ch not in alphabet)
+            raise ValueError(f"input byte {ch!r} at offset {i} is outside the alphabet")
         self.word = word
         self.n = len(word)
         self._stride = self.n + 1
@@ -157,12 +170,14 @@ class WordIndex:
         return self._leftmost_id(0, self.n)
 
     def factor_count(self) -> int:
-        self._materialize_all()
+        self.factor_table()
         return len(self._spans)
 
-    def _materialize_all(self) -> None:
+    def factor_table(self) -> list[list[int]]:
+        """`table[i][k]` is the id of w[i:i+k], built on first use; callers
+        must not modify it."""
         if self._table is not None:
-            return
+            return self._table
         n, leftmost = self.n, self._leftmost_id
         codes = {ch: c for c, ch in enumerate(dict.fromkeys(self.word))}
         sigma = max(len(codes), 1)
@@ -181,9 +196,10 @@ class WordIndex:
                 row.append(node)
             table.append(row)
         self._table = table
+        return table
 
     def all_factor_ids(self) -> list[int]:
-        self._materialize_all()
+        self.factor_table()
         return list(range(len(self._spans)))
 
     # -- concatenation ----------------------------------------------------------
@@ -230,19 +246,29 @@ class WordIndex:
 
     # -- regex membership ---------------------------------------------------------
 
-    def regex_members(self, regex: RegexAst) -> set[int]:
-        """Ids of exactly those distinct factors the regex accepts.  The NFA
-        runs as a lazy DFA: each (state set, letter) step is taken once."""
+    def regex_members(self, regex: RegexAst, among: Optional[AbstractSet[int]] = None) -> set[int]:
+        """Ids of exactly those distinct factors the regex accepts; with
+        `among`, only those among the given ids.  The NFA runs as a lazy DFA,
+        each (state set, letter) step taken once: from every start, or with
+        `among` only from the leftmost starts of its ids, up to their
+        farthest end."""
         nfa = thompson(regex)
         initial = nfa.initial()
         moves: dict[tuple[frozenset[int], str], frozenset[int]] = {}
         out: set[int] = set()
         word, n, accept = self.word, self.n, nfa.accept
-        if accept in initial:
+        wanted: Optional[dict[int, dict[int, int]]] = None   # start -> end -> id
+        if among is not None:
+            wanted = {}
+            for fid in among:
+                start, end = self.occurrence(fid)
+                wanted.setdefault(start, {})[end] = fid
+        if accept in initial and (among is None or EPSILON_ID in among):
             out.add(EPSILON_ID)
-        for i in range(n):
+        for i in range(n) if wanted is None else wanted:
+            ends = None if wanted is None else wanted[i]
             states = initial
-            for j in range(i, n):
+            for j in range(i, n if ends is None else max(ends)):
                 move = (states, word[j])
                 states = moves.get(move)
                 if states is None:
@@ -250,7 +276,10 @@ class WordIndex:
                 if not states:
                     break
                 if accept in states:
-                    out.add(self.factor_at(i, j + 1))
+                    if ends is None:
+                        out.add(self.factor_at(i, j + 1))
+                    elif j + 1 in ends:
+                        out.add(ends[j + 1])
         return out
 
 

@@ -308,29 +308,38 @@ def brute_sercq_evaluate(p, w: str) -> set[tuple[tuple[str, int, int], ...]]:
     """Set-theoretic spanner algebra over per-formula ref-word relations.
 
     Returns tuples of (variable name, start, end) sorted by name, restricted
-    to the projection.
+    to the projection.  The formulas are joined left to right.  Each step
+    checks the string equalities whose variables are all bound, then drops
+    the variables that neither the projection, a later formula nor an
+    equality with a later formula reads, and removes duplicates.  Projection
+    commutes with the later joins and selections on the kept variables, so
+    the result is that of the full join, but formulas that share no variable
+    do not multiply.
     """
-    joined: list[SpanTuple] = [{}]
-    for formula in p.formulas:
+    later: set[Variable] = set()
+    keep_after: list[set[Variable]] = []
+    for formula in reversed(p.formulas):
+        keep_after.append(set(p.projection) | later
+                          | {x for a, b in p.equalities if a in later or b in later for x in (a, b)})
+        later = later | _formula_svars(formula)
+    keep_after.reverse()
+    kept: list[SpanTuple] = [{}]
+    for formula, keep in zip(p.formulas, keep_after):
         rel = formula_span_tuples(formula, w)
-        nxt: list[SpanTuple] = []
-        for left in joined:
+        nxt: dict[tuple, SpanTuple] = {}
+        for left in kept:
             for right in rel:
-                if all(left[v] == right[v] for v in left.keys() & right.keys()):
-                    merged = dict(left)
-                    merged.update(right)
-                    nxt.append(merged)
-        joined = nxt
-    kept = []
-    for mu in joined:
-        ok = True
-        for a, b in p.equalities:
-            (i1, j1), (i2, j2) = mu[a], mu[b]
-            if w[i1 - 1:j1 - 1] != w[i2 - 1:j2 - 1]:
-                ok = False
-                break
-        if ok:
-            kept.append(mu)
+                if any(left[v] != right[v] for v in left.keys() & right.keys()):
+                    continue
+                merged = dict(left)
+                merged.update(right)
+                if any(a in merged and b in merged
+                       and w[merged[a][0] - 1:merged[a][1] - 1] != w[merged[b][0] - 1:merged[b][1] - 1]
+                       for a, b in p.equalities):
+                    continue
+                mu = {v: span for v, span in merged.items() if v in keep}
+                nxt.setdefault(tuple(sorted((v.name, span) for v, span in mu.items())), mu)
+        kept = list(nxt.values())
     out: set[tuple[tuple[str, int, int], ...]] = set()
     proj = sorted(p.projection, key=lambda v: v.name)
     for mu in kept:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import AB, v
+from conftest import AB, all_words, random_fccq_wide, v
 from wordeq.bridge import (
     SercqAst,
     fccq_to_sercq,
@@ -51,7 +51,11 @@ def spans_to_prefix_content(p: SercqAst, w: str) -> set[tuple[str, ...]]:
 
 def realization_words(q, w) -> set[tuple[str, ...]]:
     """Engine results reordered to sorted-projection layout."""
-    res = engine_words(q, w)
+    return sorted_layout(q, engine_words(q, w))
+
+
+def sorted_layout(q, res) -> set[tuple[str, ...]]:
+    """Rows over the realization head reordered to sorted-projection layout."""
     names = [h.name for h in q.head]
     # Head is built as x_p, x_c per projected variable, in projection order;
     # reorder to sorted-name order for comparison.
@@ -105,6 +109,29 @@ class TestSercqToFccq:
             for w in ["", "a", "ba", "abab"]:
                 assert realization_words(q, w) == spans_to_prefix_content(p, w), (p, w)
 
+    def test_random_through_the_planner(self):
+        """Realizations of random SERCQs, plain and pseudo-acyclic, planned
+        with and without pre-factoring and enumerated, on every word over
+        {a, b} up to length 3."""
+        rng = random.Random(7)
+        words = all_words("ab", 3)
+        planned = 0
+        for k in range(40):
+            p = random_sercq(rng, pseudo=k % 2 == 1)
+            q = sercq_to_fccq(p)
+            for prefactor in (False, True):
+                try:
+                    pln = plan(q, prefactor=prefactor)
+                except CyclicQueryError:
+                    continue
+                planned += 1
+                for w in words:
+                    ix = build_index(w)
+                    got = {tuple(r.words(ix)[h.name] for h in q.head)
+                           for r in enumerate_results(pln, ix)}
+                    assert sorted_layout(q, got) == spans_to_prefix_content(p, w), (p, prefactor, w)
+        assert planned >= 60
+
     def test_nested_and_boundary_bindings(self):
         cases = [
             SercqAst((v("x"), v("y")), (), (formula("'a'.x{'b'.y{S*}.'b'}.'a'"),)),
@@ -148,6 +175,15 @@ def random_sercq(rng: random.Random, pseudo: bool = False) -> SercqAst:
     return SercqAst(proj, tuple(eqs), tuple(formulas))
 
 
+def spanner_words(s: SercqAst, head, w: str) -> set[tuple[str, ...]]:
+    """Word contents of the spanner's tuples, in head order."""
+    out = set()
+    for tup in brute_sercq_evaluate(s, w):
+        contents = {name: w[i - 1:j - 1] for name, i, j in tup}
+        out.add(tuple(contents[h.name] for h in head))
+    return out
+
+
 class TestFccqToSercq:
     def test_repeat_binding_with_equality(self):
         q = parse_query("ans(x) :- u = x.'a'.x", AB)
@@ -174,16 +210,20 @@ class TestFccqToSercq:
             q = parse_query(text, AB)
             s = fccq_to_sercq(q, AB)
             for w in ["", "a", "b", "ab", "aba", "abab"]:
-                spanner = brute_sercq_evaluate(s, w)
-                # Word-level contents of the spanner tuples, in head order.
-                name_pos = {x.name: k for k, x in enumerate(sorted(s.projection,
-                                                                   key=lambda t: t.name))}
-                got = set()
-                for tup in spanner:
-                    row = [None] * len(q.head)
-                    contents = {name: w[i - 1:j - 1] for name, i, j in tup}
-                    got.add(tuple(contents[h.name] for h in q.head))
-                assert got == brute_evaluate(q, w), (text, w)
+                assert spanner_words(s, q.head, w) == brute_evaluate(q, w), (text, w)
+
+    def test_widened_generator(self):
+        """The shapes only `random_fccq_wide` emits (`u` on a right side,
+        empty right sides, a left side repeated on its own right side,
+        constraint-only variables, constraints on `u`) keep their meaning, on
+        every word over {a, b} up to length 3."""
+        rng = random.Random(0)
+        words = all_words("ab", 3)
+        for _ in range(80):
+            q = random_fccq_wide(rng)
+            s = fccq_to_sercq(q, AB)
+            for w in words:
+                assert spanner_words(s, q.head, w) == brute_evaluate(q, w), (q, w)
 
     def test_double_conversion_preserves_semantics(self):
         texts = ["ans(x) :- u = x.y", "ans() :- u = x.'a'.x"]

@@ -99,25 +99,31 @@ def slow_relation(ix, atom) -> Relation:
     return Relation(schema, frozenset(rows))
 
 
+def reference_atoms(ab) -> list:
+    """Every atom shape the materialization references are checked on."""
+    from wordeq.frontend import parse_regex
+    x, y, z = v("x"), v("y"), v("z")
+    return [
+        SmallEquation(z, (x, y)),
+        SmallEquation(x, (y, y)),
+        SmallEquation(x, (x, y)),
+        SmallEquation(UNIVERSE, (x, y)),
+        SmallEquation(UNIVERSE, (x, x)),
+        SmallEquation(x, (UNIVERSE, UNIVERSE)),
+        SmallEquation(x, (x, x)),
+        SmallEquation(x, (UNIVERSE,)),
+        SmallEquation(x, (y,)),
+        SmallEquation(x, (y, UNIVERSE)),
+        SmallEquation(z, (x, y, x)),
+        SmallEquation(UNIVERSE, (x, y, z)),
+        RegularConstraint(UNIVERSE, parse_regex("(ab)*(a|'')", ab)),
+        RegularConstraint(x, parse_regex("a(a|b)*", ab)),
+    ]
+
+
 class TestMaterializeReference:
     def test_every_atom_shape_on_short_words(self, ab):
-        from wordeq.frontend import parse_regex
-        x, y, z = v("x"), v("y"), v("z")
-        atoms = [
-            SmallEquation(z, (x, y)),
-            SmallEquation(x, (y, y)),
-            SmallEquation(UNIVERSE, (x, y)),
-            SmallEquation(UNIVERSE, (x, x)),
-            SmallEquation(x, (UNIVERSE, UNIVERSE)),
-            SmallEquation(x, (x, x)),
-            SmallEquation(x, (UNIVERSE,)),
-            SmallEquation(x, (y,)),
-            SmallEquation(x, (y, UNIVERSE)),
-            SmallEquation(z, (x, y, x)),
-            SmallEquation(UNIVERSE, (x, y, z)),
-            RegularConstraint(UNIVERSE, parse_regex("(ab)*(a|'')", ab)),
-            RegularConstraint(x, parse_regex("a(a|b)*", ab)),
-        ]
+        atoms = reference_atoms(ab)
         for w in all_words("ab", 7):
             for atom in atoms:
                 ix = build_index(w)
@@ -134,6 +140,124 @@ class TestMaterializeReference:
             Relation((), frozenset({(1,)}))
         assert Relation((x, y), frozenset()).rows == frozenset()
         assert Relation((), frozenset({()})).rows == frozenset({()})
+
+
+def within(rel: Relation, allowed: dict) -> Relation:
+    """The rows of rel whose values all lie inside `allowed`."""
+    for x, ids in allowed.items():
+        rel = semijoin(rel, Relation((x,), frozenset((i,) for i in ids)))
+    return rel
+
+
+JOIN = "ans(x,y) :- x = z1.z2, y = z1.z3, x in /a(a|b)*/, z1 in /a+/"
+
+
+class TestRestrictedMaterialize:
+    def test_keeps_every_allowed_row(self, ab):
+        """Restricted generation returns rows of the full relation only, and
+        every one of them inside the allowed ids, whichever of the atom's
+        variables are restricted."""
+        rng = random.Random(12)
+        atoms = reference_atoms(ab)
+        for w in all_words("ab", 6):
+            for atom in atoms:
+                ix = build_index(w)
+                full = materialize_atom(ix, atom)
+                ids = ix.all_factor_ids()
+                names = sorted((atom.variables() if isinstance(atom, SmallEquation) else {atom.var})
+                               - {UNIVERSE}, key=str)
+                for mask in range(1 << len(names)):
+                    allowed = {x: set(rng.sample(ids, rng.randint(0, len(ids))))
+                               for k, x in enumerate(names) if mask >> k & 1}
+                    got = materialize_atom(ix, atom, allowed)
+                    assert got.schema == full.schema
+                    assert got.rows <= full.rows, (w, atom, allowed)
+                    assert within(got, allowed) == within(full, allowed), (w, atom, allowed)
+
+    @pytest.mark.parametrize("atom, at", [
+        ("z = x.y", "z"), ("z = x.y", "x"), ("z = x.y", "y"),
+        ("x = y.y", "x"), ("x = y", "x"), ("x = y", "y"),
+    ])
+    def test_one_restricted_variable_builds_no_other_row(self, atom, at):
+        """A restriction on one variable is applied while generating, not
+        after: no row outside it is built (the full relation of z = x.y has
+        ~n^3/6 rows)."""
+        rng = random.Random(2)
+        w = "".join(rng.choice("ab") for _ in range(64))
+        ix = build_index(w)
+        lhs, rhs = atom.split(" = ")
+        eq = SmallEquation(v(lhs), tuple(v(x) for x in rhs.split(".")))
+        allowed = {v(at): {ix.id_of_word(f) for f in ("", "a", "ab")}}
+        rel = materialize_atom(ix, eq, allowed)
+        assert rel.rows and rel == within(rel, allowed)
+
+    def test_each_relation_is_its_full_one_cut_by_the_parent(self):
+        """The root keeps its full relation; every other node holds its full
+        relation semi-joined with its parent's."""
+        from wordeq.evaluator import _materialize_tree
+        rng = random.Random(23)
+        done = 0
+        while done < 40:
+            q = random_fccq_wide(rng) if done % 2 else random_fccq(rng, max_atoms=3, max_rhs=3)
+            try:
+                p = plan(q)
+            except CyclicQueryError:
+                continue
+            done += 1
+            for w in ("", "ab", "aab", "abab"):
+                ix = build_index(w)
+                rels, order, _, parent = _materialize_tree(p.tree, ix)
+                for node in order:
+                    full = materialize_atom(ix, p.tree.nodes[node])
+                    up = parent[node]
+                    assert rels[node] == (full if up is None else semijoin(full, rels[up])), (q, w)
+
+    def test_root_choice(self, ab):
+        from wordeq.evaluator import _materialize_tree
+        ix = build_index("aabab")
+        grounded = plan(parse_query("ans(x) :- x = y.z, u = x.y, x in /a*/", ab))
+        order = _materialize_tree(grounded.tree, ix)[1]
+        assert grounded.tree.nodes[order[0]].lhs.is_universe
+        p = plan(parse_query(JOIN, ab))
+        order = _materialize_tree(p.tree, ix)[1]
+        assert p.tree.nodes[order[0]].var == v("z1")   # /a+/ has fewer members than /a(a|b)*/
+
+    @pytest.mark.parametrize("text, unrestricted", [
+        (JOIN, [True, True]),
+        # Behind a grounded root a constraint checks only the ids it is given.
+        ("ans(x,y) :- u = x.y, x in /a*b/", [False]),
+    ])
+    def test_each_regex_runs_once(self, ab, monkeypatch, text, unrestricted):
+        from wordeq.index import WordIndex
+        calls = []
+        members = WordIndex.regex_members
+
+        def counted(self, regex, among=None):
+            calls.append(among is None)
+            return members(self, regex, among)
+
+        monkeypatch.setattr(WordIndex, "regex_members", counted)
+        assert model_check(plan(parse_query(text, ab)), build_index("aababb"))
+        assert calls == unrestricted
+
+    def test_join_rows_stay_quadratic(self, ab, monkeypatch):
+        """The join query on 200 letters materializes fewer than 20 n^2 rows,
+        not the ~n^3/6 of expanding every factor at every cut."""
+        from wordeq import evaluator
+        n = 200
+        rng = random.Random(1)
+        w = "".join(rng.choice("ab") for _ in range(n))
+        rows = []
+        original = evaluator.materialize_atom
+
+        def counted(*args, **kwargs):
+            rel = original(*args, **kwargs)
+            rows.append(len(rel.rows))
+            return rel
+
+        monkeypatch.setattr(evaluator, "materialize_atom", counted)
+        assert model_check(plan(parse_query(JOIN, ab)), build_index(w))
+        assert 0 < sum(rows) < 20 * n * n
 
 
 class TestSemijoin:

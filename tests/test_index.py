@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_words, random_regex
+from conftest import AB, all_words, random_regex
 from wordeq.index import EPSILON_ID, Span, build_index, leftmost_suffix_starts
 from wordeq.model import InvalidSpanError
 from wordeq.nfa import Nfa, thompson
@@ -16,6 +16,11 @@ def brute_distinct_factors(w: str) -> set[str]:
 
 
 class TestFactorIdentity:
+    def test_letter_outside_the_alphabet(self):
+        build_index("abba", AB)
+        with pytest.raises(ValueError, match=r"^input byte 'c' at offset 2 is outside the alphabet$"):
+            build_index("abca", AB)
+
     def test_banana_equal_spans(self):
         ix = build_index("banana")
         assert ix.factor_id(Span(2, 4)) == ix.factor_id(Span(4, 6))
@@ -270,6 +275,25 @@ class TestRegexMembers:
         assert members == {"a", "ab"}
         members = {ix.word_of(f) for f in ix.regex_members(parse_regex("a(b|ba)*", ab))}
         assert members == {"a", "ab", "aba", "abab"}
+
+    def test_among_is_an_intersection(self):
+        """regex_members(r, among) == regex_members(r) & among, with and
+        without the factor table, for sets with and without epsilon and the
+        whole word."""
+        rng = random.Random(9)
+        for k in range(80):
+            w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 10)))
+            regex = random_regex(rng, depth=3)
+            ix = build_index(w)
+            if k % 2:
+                ids = ix.all_factor_ids()
+            else:
+                ids = sorted({ix.factor_at(i, j) for i in range(len(w) + 1)
+                              for j in range(i, len(w) + 1) if rng.random() < 0.3})
+            full = ix.regex_members(regex)
+            some = set(rng.sample(ids, rng.randint(0, len(ids))))
+            for among in (set(), {EPSILON_ID}, {ix.whole_word_id()}, some, some | {EPSILON_ID}):
+                assert ix.regex_members(regex, among) == full & among, (w, regex, among)
 
     def test_each_step_taken_once(self, ab, monkeypatch):
         from wordeq.frontend import parse_regex

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -250,6 +251,21 @@ class TestPlan:
         p = plan(q)
         sk = skeleton_of(p)
         assert len(sk.nodes) == 2 and sk.edges == ((0, 1),)
+
+    @pytest.mark.parametrize("text", [
+        "ans(x,y) :- x = z1.z2, y = z1.z3, x in /a(a|b)*/, z1 in /a+/",
+        "ans() :- u = x1.x2.x3.x1.x2.x3.x1.x2.x3",
+    ])
+    def test_plan_leaves_no_reference_cycles(self, text):
+        """Planning frees its search tables by reference counting alone."""
+        q = parse_query(text, AB)
+        gc.collect()
+        gc.disable()
+        try:
+            plan(q)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_soundness_random(self):
         rng = random.Random(77)
