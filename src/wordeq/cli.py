@@ -131,12 +131,15 @@ def cmd_enum(args: argparse.Namespace) -> int:
     if oracle:
         results = list(results)
     any_result = False
-    for shown, result in enumerate(results):
+    # Stop after the limit-th answer; --limit 0 still draws one for the exit code.
+    for shown, result in enumerate(results, 1):
         any_result = True
-        if args.limit is not None and shown >= args.limit:
+        if args.limit == 0:
             break
         obj = result.to_json_obj(ix)
         print(json.dumps(obj) if args.json else _plain_row(obj))
+        if shown == args.limit:
+            break
     if oracle and not _oracle_agrees(query, ix, results):
         return EXIT_INTERNAL
     return EXIT_OK if any_result else EXIT_NEGATIVE

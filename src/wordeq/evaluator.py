@@ -1,16 +1,16 @@
 """Materialized per-atom relations over factor ids, semi-join reduction over
-the plan's join tree, and result enumeration.
+the plan's join tree, and the enumeration phase, a walk that looks rows up in
+per-node indexes (Yannakakis 1981, "Algorithms for acyclic database schemes").
 
 Relations are generated from the join tree's most selective node outward, in
 BFS order: each child only for the ids its parent's rows allow, then
-semi-joined with the parent, so dangling tuples are mostly never built
-(Yannakakis 1981, "Algorithms for acyclic database schemes")."""
+semi-joined with the parent, so dangling tuples are mostly never built."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional
 
 from .index import WordIndex
 from .model import (
@@ -270,47 +270,62 @@ def full_reduction(plan: Plan, ix: WordIndex) -> list[Relation]:
     return rels
 
 
-def _rows_consistent(rel: Relation, binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
-    bound_idx = [(i, binding[x]) for i, x in enumerate(rel.schema) if x in binding]
-    for row in rel.rows:
-        if all(row[i] == val for i, val in bound_idx):
-            child = dict(binding)
-            child.update(zip(rel.schema, row))
-            yield child
+def _values(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A row's values at `positions`, as a tuple for any number of them."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
-# The walk is two module-level functions rather than closures over each other:
-# mutually recursive closures form a reference cycle, which would keep the
-# reduced relations alive after an enumeration until the cycle collector runs.
-
-def _walk(rels: list[Relation], children: list[list[int]], v: int,
-          binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
-    for b in _rows_consistent(rels[v], binding):
-        yield from _descend(rels, children, children[v], 0, b)
-
-
-def _descend(rels: list[Relation], children: list[list[int]], kids: list[int], at: int,
-             binding: dict[Variable, int]) -> Iterator[dict[Variable, int]]:
-    if at == len(kids):
+# Module-level, not a closure: a closure that calls itself is a reference cycle.
+def _walk(steps: list, at: int, binding: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    if at == len(steps):
         yield binding
         return
-    for b in _walk(rels, children, kids[at], binding):
-        yield from _descend(rels, children, kids, at + 1, b)
+    key, index = steps[at]
+    for new in index[key(binding)]:
+        yield from _walk(steps, at + 1, binding + new)
 
 
 def enumerate_results(plan: Plan, ix: WordIndex) -> Iterator[ResultTuple]:
-    """Backtracking join along the reduced tree, projected onto the head and
-    deduplicated at word level (factor ids are canonical per word)."""
+    """Yannakakis' enumeration phase.  Each fully reduced relation is
+    projected onto the head and the variables it shares with a join-tree
+    neighbour (sound, as no dangling rows are left), indexed, in BFS order
+    from node 0, on those it shares with its parent (a row kept whole is
+    stored as it is), and freed.  The walk extends a flat binding by the rows
+    it looks up: every lookup finds some; a node with no new variable is
+    skipped.  `seen` drops repeated answers (ids are canonical per word), the
+    one part of the delay that is not constant: a head that is not
+    free-connex, like `(x, y)` of `x = z1.z2, y = z1.z3`, repeats answers."""
     rels = full_reduction(plan, ix)
-    order, children, _ = _orientation(plan.tree)
-    head = plan.query.head
+    if not all(rel.rows for rel in rels):
+        return
+    head, adj = plan.query.head, plan.tree.adjacency()
+    slot: dict[Variable, int] = {}
+    steps: list[tuple[Callable, dict]] = []
+    for v in _orientation(plan.tree)[0]:
+        schema = rels[v].schema
+        keep = set(head).union(*(plan.tree.var_sets[w] for w in adj[v]))
+        bound = [i for i, x in enumerate(schema) if x in slot]
+        new = [i for i, x in enumerate(schema) if x in keep and x not in slot]
+        if new:
+            if len(new) == len(schema):  # nothing bound or dropped: the rows are the values
+                index: dict = {(): rels[v].rows}
+            else:
+                key, value, index = _values(bound), _values(new), {}
+                for row in rels[v].rows:
+                    index.setdefault(key(row), set()).add(value(row))
+            steps.append((_values([slot[schema[i]] for i in bound]), index))
+            slot.update({schema[i]: len(slot) + k for k, i in enumerate(new)})
+        rels[v] = None  # type: ignore[call-overload]
+    read_head = _values([slot[x] for x in head])
     seen: set[tuple[int, ...]] = set()
-    for binding in _walk(rels, children, order[0], {}):
-        key = tuple(binding[v] for v in head)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield ResultTuple(tuple((v, binding[v]) for v in head))
+    for binding in _walk(steps, 0, ()):
+        answer = read_head(binding)
+        if answer not in seen:
+            seen.add(answer)
+            yield ResultTuple(tuple(zip(head, answer)))
 
 
 def join_tree_for(two: TwoFcCq) -> Optional[JoinTree]:

@@ -154,6 +154,25 @@ class TestEnum:
         assert code == 0 and len(out.splitlines()) == 1 and err == ""
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("limit, printed, most_drawn", [(0, 0, 1), (2, 2, 2), (3, 3, 3)])
+    def test_limit_stops_drawing(self, files, capsys, monkeypatch, limit, printed, most_drawn):
+        """`--limit N` draws at most N answers (one for N = 0, for the exit
+        code), and on a query with exactly N answers does not exhaust the walk."""
+        drawn, finished = [], []
+
+        def counted(p, ix):
+            for result in enumerate_results(p, ix):
+                drawn.append(result)
+                yield result
+            finished.append(True)
+
+        monkeypatch.setattr(cli, "enumerate_results", counted)
+        q = files("q.fcq", "ans(x) :- u = x.y")
+        w = files("w.txt", "ab")
+        code, out, err = run(capsys, "enum", q, w, "--limit", str(limit))
+        assert code == 0 and len(out.splitlines()) == printed and err == ""
+        assert len(drawn) <= most_drawn and not finished
+
     def test_cyclic_long_word_warns(self, files, capsys):
         q = files("q.fcq", "ans(x) :- u = 'ab'.x.'ba'.x.y.x")
         w = files("w.txt", "b" * 15)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 from itertools import combinations_with_replacement
@@ -337,6 +338,9 @@ class TestModelCheck:
                 assert model_check(p, ix) == (next(enumerate_results(p, ix), None) is not None)
 
 
+JOIN = "ans(x,y) :- x = z1.z2, y = z1.z3, x in /a(a|b)*/, z1 in /a+/"
+
+
 class TestEnumerate:
     def test_square_root(self):
         q = parse_query("ans(x) :- u = x.x", AB)
@@ -350,12 +354,62 @@ class TestEnumerate:
         out = list(enumerate_results(p, build_index("a")))
         assert len(out) == 1 and out[0].assignment == ()
 
+    @pytest.mark.parametrize("text", ["ans() :- x = y.z, v = w.w", "ans() :- u = x.x"])
+    def test_boolean_query_projected_to_empty_schema(self, text):
+        """Every relation keeps no variable (none is in the head or shared
+        with a neighbour): the walk has no lookup, yet yields one `()` exactly
+        when the query holds."""
+        q = parse_query(text, AB)
+        p = plan(q)
+        for w in ["", "a", "aba", "abab"]:
+            out = [r.assignment for r in enumerate_results(p, build_index(w))]
+            assert out == ([()] if brute_evaluate(q, w) else []), w
+
     def test_prefixes(self):
         q = parse_query("ans(x) :- u = x.y", AB)
         p = plan(q)
         ix = build_index("aaa")
         got = sorted(r.words(ix)["x"] for r in enumerate_results(p, ix))
         assert got == ["", "a", "aa", "aaa"]
+
+    def test_all_splits_of_a_long_word(self):
+        rng = random.Random(60)
+        w = "".join(rng.choice("ab") for _ in range(60))
+        p = plan(parse_query("ans(x,y,z) :- u = x.y.z", AB))
+        answers = [r.assignment for r in enumerate_results(p, build_index(w))]
+        assert len(answers) == len(set(answers)) == 61 * 62 // 2
+
+    @pytest.mark.parametrize("text", ["ans(x) :- x = y.z", JOIN])
+    def test_projection_drops_local_variables(self, text):
+        """y and z in `x = y.z`, z2 and z3 in the join, are neither in the
+        head nor shared with a neighbour: projection drops them."""
+        q = parse_query(text, AB)
+        p = plan(q)
+        for w in all_words("ab", 4):
+            ix = build_index(w)
+            got = {tuple(r.words(ix)[h.name] for h in q.head) for r in enumerate_results(p, ix)}
+            assert got == brute_evaluate(q, w), w
+
+    @pytest.mark.parametrize("text", [JOIN, "ans(x,y,z) :- u = x.y.z"])
+    def test_enumeration_leaves_no_reference_cycles(self, text):
+        """Enumeration frees its relations and indexes by reference counting
+        alone, whether drained or closed early after a `--limit`-style break."""
+        p = plan(parse_query(text, AB))
+        ix = build_index("aabab")
+        gc.collect()
+        gc.disable()
+        try:
+            assert list(enumerate_results(p, ix))
+            assert gc.collect() == 0
+            answers = enumerate_results(p, ix)
+            for shown, _ in enumerate(answers, 1):
+                if shown == 2:
+                    break
+            answers.close()
+            del answers
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_no_duplicates(self):
         rng = random.Random(8)
