@@ -8,7 +8,7 @@ that graph yields the decomposition itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     BLeaf,
@@ -67,106 +67,135 @@ def _require_terminal_free(p: Pattern) -> tuple[Variable, ...]:
 
 
 class _Intervals:
-    """Factor identity and variable masks for all intervals of a pattern."""
+    """Factor ids and variable masks of all intervals of a pattern.
+
+    Both are flat lists indexed by ``i * (n + 1) + j`` for the interval
+    [i..j].  Equal factors share an id wherever they sit.
+    """
 
     def __init__(self, pat: Sequence[Variable]):
         self.pat = tuple(pat)
-        n = len(pat)
-        self.n = n
-        self.fid: dict[Interval, int] = {}
-        self.mask: dict[Interval, int] = {}
+        n = self.n = len(pat)
+        w = n + 1
         number: dict[Variable, int] = {}
-        codes = [number.setdefault(v, len(number)) for v in pat]
+        self.codes = codes = [number.setdefault(v, len(number)) for v in pat]
+        self.fid = fid = [-1] * (w * w)
+        self.mask = mask = [0] * (w * w)
         # A factor's id is a node of the trie of all factors: the factor one
         # symbol shorter, extended by its last symbol.
-        trie: dict[tuple[int, int], int] = {}
+        trie: dict[int, int] = {}
+        symbols = len(number)
         for i in range(1, n + 1):
             m = 0
             f = -1
             for j in range(i, n + 1):
                 c = codes[j - 1]
                 m |= 1 << c
-                self.mask[(i, j)] = m
-                f = trie.setdefault((f, c), len(trie))
-                self.fid[(i, j)] = f
+                mask[i * w + j] = m
+                f = trie.setdefault((f + 1) * symbols + c, len(trie))
+                fid[i * w + j] = f
+        self.factors = len(trie)
 
-    def factor(self, iv: Interval) -> tuple[Variable, ...]:
-        return self.pat[iv[0] - 1:iv[1]]
+    def fid_of(self, iv: Interval) -> int:
+        return self.fid[iv[0] * (self.n + 1) + iv[1]]
+
+    def mask_of(self, iv: Interval) -> int:
+        return self.mask[iv[0] * (self.n + 1) + iv[1]]
 
 
 @dataclass
 class _Derivation:
-    """Result of the bottom-up fixed point: acyclic intervals and their splits."""
+    """Result of the bottom-up fixed point: the split set of every factor.
+
+    Bit ``a`` of ``splits[f]`` is set when cutting factor ``f`` after its
+    ``a``-th symbol is an edge; a longer factor is acyclic iff its set is not
+    empty, and every single variable is acyclic.
+    """
 
     ivs: _Intervals
-    nodes: set[Interval]
-    splits: dict[Interval, list[int]]           # parent -> split points j
-    child_fids: dict[Interval, set[int]]        # parent -> factor ids of its edge children
+    splits: list[int]
+
+    def acyclic(self, i: int, k: int) -> bool:
+        return i == k or self.splits[self.ivs.fid_of((i, k))] > 0
+
+    def split_points(self, i: int, k: int) -> list[int]:
+        """The split points j of [i..k] (left part [i..j]), ascending."""
+        s = self.splits[self.ivs.fid_of((i, k))]
+        return [i + a - 1 for a in range(1, k - i + 1) if s >> a & 1]
 
 
-def _solve_binary(
-    ivs: _Intervals,
-    base_pair_ok: Optional[Callable[[int], bool]] = None,
-    extra_check: Optional[Callable[[int, int, int], bool]] = None,
-) -> _Derivation:
+def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Derivation:
     """Grow acyclic intervals in increasing length order.
 
-    Children of a candidate edge are strictly shorter than the parent, so a
-    single ordered pass reaches the fixed point of the unordered loop.
-    ``base_pair_ok`` filters which length-2 intervals are admissible (used by
-    the constrained variant, which also activates ``extra_check``).
+    Children of an edge are strictly shorter than its parent, so a single
+    ordered pass reaches the fixed point.  Whether an interval is acyclic,
+    and where it splits, depends only on the factor it spells: the first
+    interval spelling a factor runs the split checks, later ones copy them.
+    ``partner`` holds, per variable code, the variable mask of the required
+    pair the variable is in, or 0 (the constrained variant; see
+    ``_pair_ok``).
     """
     n = ivs.n
-    nodes: set[Interval] = {(i, i) for i in range(1, n + 1)}
-    splits: dict[Interval, list[int]] = {}
-    child_fids: dict[Interval, set[int]] = {}
+    w = n + 1
+    fid, mask = ivs.fid, ivs.mask
+    splits = [-1] * ivs.factors
+    # Bit j of start[i], and bit i - 1 of end[j]: [i..j] is known acyclic.
+    start = [0] * (n + 1)
+    end = [0] * (n + 1)
+    for i in range(1, n + 1):
+        splits[fid[i * w + i]] = 0
+        start[i] = 1 << i
+        end[i] = 1 << (i - 1)
 
-    def add_edge(parent: Interval, j: int) -> None:
-        splits.setdefault(parent, []).append(j)
-        fs = child_fids.setdefault(parent, set())
-        fs.add(ivs.fid[(parent[0], j)])
-        fs.add(ivs.fid[(j + 1, parent[1])])
-        nodes.add(parent)
-
-    for i in range(1, n):
-        if base_pair_ok is None or base_pair_ok(i):
-            add_edge((i, i + 1), i)
-
-    for length in range(3, n + 1):
+    for length in range(2, n + 1):
         for i in range(1, n - length + 2):
             k = i + length - 1
-            for j in range(i, k):
-                left, right = (i, j), (j + 1, k)
-                if left not in nodes or right not in nodes:
-                    continue
-                if not _is_acyclic_split(ivs, child_fids, i, j, k):
-                    continue
-                if extra_check is not None and not extra_check(i, j, k):
-                    continue
-                add_edge((i, k), j)
+            at = i * w
+            f = fid[at + k]
+            s = splits[f]
+            if s < 0:
+                s = 0
+                candidates = start[i] & end[k]
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    j = low.bit_length() - 1
+                    la, lb = j + 1 - i, k - j
+                    lf, rf = fid[at + j], fid[(j + 1) * w + k]
+                    # Equal halves, disjoint variables, or one half equal to
+                    # an edge child of the other: a child of length l is the
+                    # prefix or the suffix of that length.
+                    if (lf == rf or mask[at + j] & mask[(j + 1) * w + k] == 0
+                            or lb < la and (splits[lf] >> lb & 1 and fid[at + i + lb - 1] == rf
+                                            or splits[lf] >> (la - lb) & 1
+                                            and fid[(j + 1 - lb) * w + j] == rf)
+                            or la < lb and (splits[rf] >> la & 1 and fid[(j + 1) * w + j + la] == lf
+                                            or splits[rf] >> (lb - la) & 1
+                                            and fid[(k + 1 - la) * w + k] == lf)):
+                        if partner is None or _pair_ok(ivs, partner, i, j, k):
+                            s |= 1 << la
+                splits[f] = s
+            if s:
+                start[i] |= 1 << k
+                end[k] |= 1 << (i - 1)
 
-    return _Derivation(ivs, nodes, splits, child_fids)
+    return _Derivation(ivs, splits)
 
 
-def _is_acyclic_split(
-    ivs: _Intervals,
-    child_fids: dict[Interval, set[int]],
-    i: int,
-    j: int,
-    k: int,
-) -> bool:
-    """The six growth conditions: equal halves, disjoint variables, or one
-    half equal to an edge child of the other half."""
-    left, right = (i, j), (j + 1, k)
-    if ivs.fid[left] == ivs.fid[right]:
-        return True
-    if ivs.mask[left] & ivs.mask[right] == 0:
-        return True
-    if ivs.fid[right] in child_fids.get(left, ()):
-        return True
-    if ivs.fid[left] in child_fids.get(right, ()):
-        return True
-    return False
+def _pair_ok(ivs: _Intervals, partner: list[int], i: int, j: int, k: int) -> bool:
+    """Whether splitting [i..k] after j keeps every paired variable next to
+    its partner: a length-2 seed is a required pair or two unpaired
+    variables, and a paired single variable is concatenated only to a part
+    over exactly its pair.  Depends on the factor's contents alone."""
+    w = ivs.n + 1
+    a, b = partner[ivs.codes[i - 1]], partner[ivs.codes[k - 1]]
+    if i + 1 == k:
+        return a == b == 0 or a == ivs.mask[i * w + k]
+    if i == j:
+        return a == 0 or a == ivs.mask[(j + 1) * w + k]
+    if j + 1 == k:
+        return b == 0 or b == ivs.mask[i * w + j]
+    return True
 
 
 def is_acyclic_pattern(p: Pattern) -> bool:
@@ -174,70 +203,65 @@ def is_acyclic_pattern(p: Pattern) -> bool:
     pat = _require_terminal_free(p)
     if not pat:
         raise ValueError("the empty pattern has no bracketing")
-    if len(pat) == 1:
-        return True
     ivs = _Intervals(pat)
-    deriv = _solve_binary(ivs)
-    return (1, ivs.n) in deriv.nodes
+    return _solve_binary(ivs).acyclic(1, ivs.n)
 
 
 # --- carving a concatenation tree out of the derivation graph -----------------
 
 
-def _derive_bracketing(deriv: _Derivation) -> Optional[Bracketing]:
+# Bracketings are built and walked with explicit stacks, not recursion: a
+# derivation nests as deep as the pattern is long (x1^n nests n deep).
+
+def _bracketing_of(deriv: _Derivation, n: int) -> Optional[Bracketing]:
     """Top-down edge selection with the three guarded cases.
 
     When one sibling is justified by an edge child of the other, that edge is
-    committed so the sibling is expanded the same way.
+    committed so the sibling is expanded the same way.  A committed split
+    still runs the guard logic so that sharing constraints propagate to its
+    own children.
     """
-    if (1, deriv.ivs.n) not in deriv.nodes:
-        return None
-    return _bracketing_of(deriv, 1, deriv.ivs.n, None)
-
-
-# `_bracketing_of` and `_add_preorder` recurse as module-level functions, not
-# closures: a closure that calls itself is a reference cycle, which would keep
-# every plan's tables alive until the cycle collector runs.
-
-def _bracketing_of(deriv: _Derivation, i: int, k: int,
-                   committed: Optional[int]) -> Optional[Bracketing]:
-    if i == k:
-        return BLeaf(deriv.ivs.pat[i - 1])
-    # A committed split must still run the guard logic so that sharing
-    # constraints propagate to its own children.
-    chosen = _choose_split(deriv, i, k, forced=committed)
-    if chosen is None:
-        return None
-    j, commitment = chosen
-    side, x = commitment if commitment is not None else (None, None)
-    left = _bracketing_of(deriv, i, j, x if side == "left" else None)
-    right = _bracketing_of(deriv, j + 1, k, x if side == "right" else None)
-    if left is None or right is None:
-        return None
-    return BNode((left, right))
-
-
-_Side = str
+    chosen: list[tuple[int, int]] = []      # (i, j) in pre-order; j = 0 for a leaf
+    todo: list[tuple[int, int, Optional[int]]] = [(1, n, None)]
+    while todo:
+        i, k, committed = todo.pop()
+        if i == k:
+            chosen.append((i, 0))
+            continue
+        found = _choose_split(deriv, i, k, forced=committed)
+        if found is None:
+            return None
+        j, commitment = found
+        side, x = commitment if commitment is not None else (None, None)
+        chosen.append((i, j))
+        todo.append((j + 1, k, x if side == "right" else None))
+        todo.append((i, j, x if side == "left" else None))
+    built: list[Bracketing] = []
+    for i, j in reversed(chosen):
+        built.append(BNode((built.pop(), built.pop())) if j else BLeaf(deriv.ivs.pat[i - 1]))
+    return built[0]
 
 
 def _choose_split(deriv: _Derivation, i: int, k: int,
-                  forced: Optional[int] = None) -> Optional[tuple[int, Optional[tuple[_Side, int]]]]:
+                  forced: Optional[int] = None) -> Optional[tuple[int, Optional[tuple[str, int]]]]:
     ivs = deriv.ivs
-    candidates = (forced,) if forced is not None else deriv.splits.get((i, k), ())
+    w = ivs.n + 1
+    fid = ivs.fid
+    candidates = (forced,) if forced is not None else deriv.split_points(i, k)
     for j in candidates:
-        left, right = (i, j), (j + 1, k)
-        if ivs.fid[left] == ivs.fid[right] or ivs.mask[left] & ivs.mask[right] == 0:
+        lf, rf = fid[i * w + j], fid[(j + 1) * w + k]
+        if lf == rf or ivs.mask[i * w + j] & ivs.mask[(j + 1) * w + k] == 0:
             return j, None
-        for x in deriv.splits.get(left, ()):
-            if ivs.fid[(i, x)] == ivs.fid[right] or ivs.fid[(x + 1, j)] == ivs.fid[right]:
+        for x in deriv.split_points(i, j):
+            if fid[i * w + x] == rf or fid[(x + 1) * w + j] == rf:
                 return j, ("left", x)
-        for x in deriv.splits.get(right, ()):
-            if ivs.fid[left] == ivs.fid[(j + 1, x)] or ivs.fid[left] == ivs.fid[(x + 1, k)]:
+        for x in deriv.split_points(j + 1, k):
+            if lf == fid[(j + 1) * w + x] or lf == fid[(x + 1) * w + k]:
                 return j, ("right", x)
     return None
 
 
-def _expanded(labels: Sequence[Variable], children: Sequence[tuple[int, ...]]) -> list[int]:
+def _expanded(labels: Sequence[Variable], children: Sequence[Sequence[int]]) -> list[int]:
     """The non-leaf nodes that keep their children, innermost first, then
     left to right.  Of the non-leaf nodes carrying one label only the
     deepest, leftmost on ties, keeps them; the others lose their subtrees.
@@ -279,59 +303,49 @@ def _expanded(labels: Sequence[Variable], children: Sequence[tuple[int, ...]]) -
     return sorted(keep, key=lambda v: (-depth[v], v))
 
 
-def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars,
-                      ivs: Optional[_Intervals] = None) -> TwoFcCq:
-    """The decomposition of a bracketing that a search found.
+def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars, ivs: _Intervals) -> TwoFcCq:
+    """The decomposition of a bracketing that a search found in ``ivs``.
 
     Nodes spanning equal factors share one introduced variable, named in
     pre-order; of the nodes carrying one label only the deepest, leftmost
     keeps its children, and the equations are read off innermost first.
-    ``ivs`` is the search's table for the bracketing's pattern; without it
-    one is built.
     """
     if isinstance(b, BLeaf):
         return TwoFcCq(head=(), equations=(SmallEquation(root, (b.var,)),), introduced=frozenset())
-    if ivs is None:
-        ivs = _Intervals(bracketing_pattern(b))
+    # Pre-order: leaves come left to right, so a node starts at the next
+    # leaf and ends where its last child ends.
     labels: list[Variable] = []
-    fids: list[int] = []
-    children: list[tuple[int, ...]] = []
-    _add_preorder(b, 1, root, ivs.fid, labels, fids, children)
+    start: list[int] = []
+    children: list[list[int]] = []
+    leaves = 0
+    todo: list[tuple[Bracketing, int]] = [(b, -1)]
+    while todo:
+        node, parent = todo.pop()
+        if parent >= 0:
+            children[parent].append(len(labels))
+        start.append(leaves + 1)
+        children.append([])
+        if isinstance(node, BLeaf):
+            labels.append(node.var)
+            leaves += 1
+        else:
+            todo.extend((c, len(labels)) for c in reversed(node.children))  # type: ignore[union-attr]
+            labels.append(root)
+    end = list(start)
+    for v in range(len(labels) - 1, -1, -1):
+        if children[v]:
+            end[v] = end[children[v][-1]]
     by_fid: dict[int, Variable] = {}
-    for idx in range(1, len(labels)):
-        f = fids[idx]
-        if f >= 0:
+    for v in range(1, len(labels)):
+        if children[v]:
+            f = ivs.fid_of((start[v], end[v]))
             if f not in by_fid:
                 by_fid[f] = fresh.fresh("z")
-            labels[idx] = by_fid[f]
+            labels[v] = by_fid[f]
     equations = tuple(SmallEquation(labels[v], tuple(labels[c] for c in children[v]))
                       for v in _expanded(labels, children))
     # The root is the only node at depth 0, so its equation comes last.
     return TwoFcCq(head=(), equations=equations, introduced=frozenset(eq.lhs for eq in equations[:-1]))
-
-
-def _add_preorder(node: Bracketing, start: int, root: Variable, fid: dict[Interval, int],
-                  labels: list[Variable], fids: list[int],
-                  children: list[tuple[int, ...]]) -> int:
-    """Add the node and its subtree in pre-order; returns the position after
-    the last one it spans."""
-    idx = len(labels)
-    if isinstance(node, BLeaf):
-        labels.append(node.var)
-        fids.append(-1)
-        children.append(())
-        return start + 1
-    labels.append(root)
-    fids.append(-1)
-    children.append(())
-    kids = []
-    pos = start
-    for c in node.children:  # type: ignore[union-attr]
-        kids.append(len(labels))
-        pos = _add_preorder(c, pos, root, fid, labels, fids, children)
-    children[idx] = tuple(kids)
-    fids[idx] = fid[(start, pos - 1)]
-    return pos
 
 
 def find_acyclic_decomposition(p: Pattern, root: Variable = UNIVERSE,
@@ -449,43 +463,25 @@ def _constrained_search(p: Pattern, pairs: Iterable[frozenset[Variable]]
     # Two pairs sharing a variable would force that variable to sit next to
     # two different partners, giving two x-parents whose meeting point is not
     # one: always cyclic.
-    listed = sorted(pair_set, key=lambda c: sorted(x.name for x in c))
-    for a in range(len(listed)):
-        for b in range(a + 1, len(listed)):
-            if listed[a] & listed[b]:
-                return None
-    pool = set().union(*pair_set) if pair_set else set()
-    if not pool <= vars_of(p):
+    pool = set().union(*pair_set)
+    if len(pool) < 2 * len(pair_set) or not pool <= vars_of(p):
         return None
     if not pat:
         return None
     ivs = _Intervals(pat)
     if len(pat) == 1:
         return (BLeaf(pat[0]), ivs) if not pair_set else None
-    if not pair_set:
-        deriv = _solve_binary(ivs)
-    else:
-        def base_pair_ok(i: int) -> bool:
-            a, b = ivs.pat[i - 1], ivs.pat[i]
-            if frozenset((a, b)) in pair_set:
-                return True
-            return a not in pool and b not in pool
-
-        def extra_check(i: int, j: int, k: int) -> bool:
-            def side_ok(single: Variable, other: Interval) -> bool:
-                if single not in pool:
-                    return True
-                sibling_vars = set(ivs.factor(other))
-                return any(single in pr and sibling_vars == set(pr) for pr in pair_set)
-
-            if i == j:
-                return side_ok(ivs.pat[i - 1], (j + 1, k))
-            if j + 1 == k:
-                return side_ok(ivs.pat[k - 1], (i, j))
-            return True
-
-        deriv = _solve_binary(ivs, base_pair_ok=base_pair_ok, extra_check=extra_check)
-    b = _derive_bracketing(deriv)
+    partner: Optional[list[int]] = None
+    if pair_set:
+        code = dict(zip(pat, ivs.codes))
+        partner = [0] * len(code)
+        for pr in pair_set:
+            for x in pr:
+                partner[code[x]] = sum(1 << code[y] for y in pr)
+    deriv = _solve_binary(ivs, partner)
+    if not deriv.acyclic(1, ivs.n):
+        return None
+    b = _bracketing_of(deriv, ivs.n)
     return None if b is None else (b, ivs)
 
 
@@ -517,7 +513,7 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
         # The root atom is the only one containing the left side, and it has
         # two right slots: both partners must be exactly the right side.
         if len(pat) == 2 and set(pat) == set(partners):
-            return _decomposition_of(BNode((BLeaf(pat[0]), BLeaf(pat[1]))), eq.lhs, fresh)
+            return _decomposition_of(BNode((BLeaf(pat[0]), BLeaf(pat[1]))), eq.lhs, fresh, _Intervals(pat))
         return None
 
     if not partners:
@@ -566,7 +562,7 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
         node = BNode((BLeaf(y), node))
     for _ in range(suffix):
         node = BNode((node, BLeaf(y)))
-    return _decomposition_of(node, eq.lhs, fresh)
+    return _decomposition_of(node, eq.lhs, fresh, _Intervals(pat))
 
 
 # --- k-ary decompositions --------------------------------------------------------
@@ -590,19 +586,11 @@ def _compositions(i: int, k: int, max_parts: int) -> Iterable[tuple[Interval, ..
 
 def _kary_tuple_localized(ivs: _Intervals, child_fids: dict[Interval, set[int]],
                           children: Sequence[Interval]) -> bool:
-    for a in range(len(children)):
-        for b in range(a + 1, len(children)):
-            u, v = children[a], children[b]
-            if ivs.fid[u] == ivs.fid[v]:
-                continue
-            if ivs.mask[u] & ivs.mask[v] == 0:
-                continue
-            if ivs.fid[u] in child_fids.get(v, ()):
-                continue
-            if ivs.fid[v] in child_fids.get(u, ()):
-                continue
-            return False
-    return True
+    """Every two siblings are equal, share no variable, or one equals an edge
+    child of the other."""
+    return all(ivs.fid_of(u) == ivs.fid_of(v) or ivs.mask_of(u) & ivs.mask_of(v) == 0
+               or ivs.fid_of(u) in child_fids.get(v, ()) or ivs.fid_of(v) in child_fids.get(u, ())
+               for a, u in enumerate(children) for v in children[a + 1:])
 
 
 def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
@@ -641,7 +629,7 @@ def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
                 tuples.setdefault(iv, []).append(comp)
                 nodes.add(iv)
                 fs = child_fids.setdefault(iv, set())
-                fs.update(ivs.fid[c] for c in comp)
+                fs.update(ivs.fid_of(c) for c in comp)
 
     if (1, n) not in nodes:
         return None
@@ -697,17 +685,17 @@ def _kary_commitments(
     A pair of overlapping, unequal siblings needs one side expanded by a
     tuple that contains the other side's factor."""
     pairs = [(comp[a], comp[b]) for a in range(len(comp)) for b in range(a + 1, len(comp))
-             if ivs.fid[comp[a]] != ivs.fid[comp[b]]
-             and ivs.mask[comp[a]] & ivs.mask[comp[b]] != 0]
+             if ivs.fid_of(comp[a]) != ivs.fid_of(comp[b])
+             and ivs.mask_of(comp[a]) & ivs.mask_of(comp[b]) != 0]
 
     def options(parent: Interval, want_fid: int,
                 commitments: dict[Interval, tuple[Interval, ...]]):
         if parent in commitments:
-            if any(ivs.fid[c] == want_fid for c in commitments[parent]):
+            if any(ivs.fid_of(c) == want_fid for c in commitments[parent]):
                 yield commitments[parent], False
             return
         for t in tuples.get(parent, ()):
-            if any(ivs.fid[c] == want_fid for c in t):
+            if any(ivs.fid_of(c) == want_fid for c in t):
                 yield t, True
 
     def rec(at: int, commitments: dict[Interval, tuple[Interval, ...]]):
@@ -716,7 +704,7 @@ def _kary_commitments(
             return
         u, v = pairs[at]
         for side, other in ((v, u), (u, v)):
-            for t, fresh_commit in options(side, ivs.fid[other], commitments):
+            for t, fresh_commit in options(side, ivs.fid_of(other), commitments):
                 if fresh_commit:
                     commitments[side] = t
                 yield from rec(at + 1, commitments)

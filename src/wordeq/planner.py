@@ -191,13 +191,11 @@ def edge_shared_vars(tree: JoinTree, a: int, b: int) -> frozenset[Variable]:
 
 
 def cyclicity_prechecks(nq: NormalizedQuery, weak: Optional[JoinTree]) -> Optional[str]:
-    """Reasons the query is definitely cyclic, or None when all checks pass."""
+    """Reasons the query is definitely cyclic by rules 1, 3 and 4, or None;
+    ``plan`` decides rule 2 (a cyclic right side) by each atom's search."""
     if weak is None:
         return "rule 1: no weak join tree exists"
     eqs = nq.query.equations
-    for eq in eqs:
-        if len(eq.rhs) >= 2 and not is_acyclic_pattern(eq.rhs):
-            return f"rule 2: right side of {eq.lhs} = {_shown(eq.rhs)} is a cyclic pattern"
     for i in range(len(eqs)):
         for j in range(i + 1, len(eqs)):
             shared = ({v for v in eqs[i].variables() if not v.is_universe}
@@ -254,10 +252,8 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
     nq = normalize(q)
     weak = weak_join_tree(nq)
     reason = cyclicity_prechecks(nq, weak)
-    if reason is not None:
-        stage = "weak-join-tree" if weak is None else "precheck"
-        raise CyclicQueryError(stage, reason)
-    assert weak is not None
+    if weak is None:
+        raise CyclicQueryError("weak-join-tree", reason)
 
     eqs = nq.query.equations
     fresh = FreshVars(v.name for v in nq.query.variables() | set(nq.query.head))
@@ -268,24 +264,32 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
         incident[a].append(label)
         incident[b].append(label)
 
+    # One search per atom finds its decomposition and decides rule 2: a
+    # decomposition proves the right side acyclic, and pairs only narrow the
+    # search, so a failed search without pairs proves it cyclic.  An atom
+    # sharing three variables stays verbatim; rule 4 bounds its size.
     decomposed: list[TwoFcCq] = []
+    stuck: Optional[str] = None
     for i, eq in enumerate(eqs):
-        labels = incident[i]
-        if any(len(l) == 3 for l in labels):
-            # Prechecks guarantee the atom is small enough to stay verbatim.
-            assert len(eq.rhs) <= 2
-            rhs = tuple(v for v in eq.rhs if isinstance(v, Variable))
-            decomposed.append(TwoFcCq(head=(), equations=(SmallEquation(eq.lhs, rhs),),
-                                      introduced=frozenset()))
-            continue
-        pairs = {l for l in labels if len(l) == 2}
-        psi = decompose_atom_with_constraints(eq, pairs, fresh)
-        if psi is None:
+        pairs = {l for l in incident[i] if len(l) == 2}
+        verbatim = any(len(l) == 3 for l in incident[i])
+        if verbatim:
+            psi = TwoFcCq(head=(), equations=(SmallEquation(eq.lhs, eq.rhs),),
+                          introduced=frozenset()) if len(eq.rhs) <= 2 else None
+        else:
+            psi = decompose_atom_with_constraints(eq, pairs, fresh)
+        if psi is not None:
+            decomposed.append(psi)
+        elif not (pairs or verbatim) or not is_acyclic_pattern(eq.rhs):
             raise CyclicQueryError(
-                "atom-decomposition",
-                f"atom {eq.lhs} = {_shown(eq.rhs)} admits no acyclic decomposition "
-                f"covering {sorted(sorted(v.name for v in p) for p in pairs)}")
-        decomposed.append(psi)
+                "precheck", f"rule 2: right side of {eq.lhs} = {_shown(eq.rhs)} is a cyclic pattern")
+        elif stuck is None:
+            stuck = (f"atom {eq.lhs} = {_shown(eq.rhs)} admits no acyclic decomposition "
+                     f"covering {sorted(sorted(v.name for v in p) for p in pairs)}")
+    if reason is not None:
+        raise CyclicQueryError("precheck", reason)
+    if stuck is not None:
+        raise CyclicQueryError("atom-decomposition", stuck)
 
     # Per-atom join trees, then cross edges along the weak tree (the skeleton).
     nodes: list[object] = []

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
+import sys
 
 import pytest
 
 from conftest import alpha_equivalent, canonical_patterns, pat, two_from_text, v
 from wordeq.decompose import (
+    _Intervals,
+    _solve_binary,
     concat_tree_of,
     constrained_acyclic_bracketing,
     decompose_atom_with_constraints,
@@ -68,6 +73,49 @@ class TestIsAcyclicPattern:
             if p not in seen:
                 seen[p] = brute_acyclic(p)
             assert is_acyclic_pattern(p) == seen[p], p
+
+
+    def test_every_interval_gets_its_factors_own_verdict(self):
+        # The search decides each factor once, at the first interval that
+        # spells it; every interval must get the verdict of its factor alone.
+        rng = random.Random(41)
+        pool = [Variable(f"x{i}") for i in range(1, 5)]
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            p = tuple(rng.choice(pool[:m]) for _ in range(rng.randint(1, 12)))
+            deriv = _solve_binary(_Intervals(p))
+            for i in range(1, len(p) + 1):
+                for k in range(i, len(p) + 1):
+                    assert deriv.acyclic(i, k) == is_acyclic_pattern(p[i - 1:k]), (p, i, k)
+
+
+def _shown(found) -> str:
+    if found is None:
+        return "-"
+    if isinstance(found, BLeaf):
+        return found.var.name
+    if isinstance(found, BNode):
+        return "(" + " ".join(_shown(c) for c in found.children) + ")"
+    return "; ".join(str(eq) for eq in found.equations)
+
+
+class TestGoldenOutputs:
+    # sha256 of the text below as printed by the search that checked every
+    # split of every interval; the per-factor search must print it unchanged.
+    DIGEST = "5fdd6e3a410ae073dd56ca1f60644b8a499361f251057f56f0a0223221a3a5dc"
+
+    def test_search_outputs_unchanged(self):
+        lines = []
+        for p in canonical_patterns(7, 4):
+            xs = sorted(set(p), key=lambda x: x.name)
+            parts = [".".join(x.name for x in p), _shown(find_acyclic_decomposition(p)),
+                     _shown(k_ary_local_decomposition(p, 2)), _shown(k_ary_local_decomposition(p, 3))]
+            parts += [_shown(constrained_acyclic_bracketing(p, [frozenset(c)]))
+                      for c in itertools.combinations(xs, 2)]
+            lines.append(" | ".join(parts))
+        text = "\n".join(lines) + "\n"
+        assert len(lines) == 976
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 class TestBracketings:
@@ -139,6 +187,22 @@ class TestFindDecomposition:
         two = find_acyclic_decomposition(pat("x1 x2 x1 x1 x2"), UNIVERSE)
         assert two is not None
         assert_valid_decomposition(two, UNIVERSE, pat("x1 x2 x1 x1 x2"))
+
+    def test_deeper_than_the_recursion_limit(self):
+        # x1^n nests n deep: the search's bracketing is built and walked
+        # with explicit stacks.
+        p = (v("x1"),) * (sys.getrecursionlimit() + 100)
+        two = find_acyclic_decomposition(p, UNIVERSE)
+        assert two is not None
+        defs = {**two.defining(), UNIVERSE: two.root_equation()}
+        leaves, todo = [], [UNIVERSE]
+        while todo:
+            x = todo.pop()
+            if x in defs:
+                todo.extend(reversed(defs[x].rhs))
+            else:
+                leaves.append(x)
+        assert tuple(leaves) == p
 
     def test_always_sound(self):
         for p in canonical_patterns(7, 3):

@@ -217,10 +217,39 @@ class TestPrechecks:
         assert reason is not None and reason.startswith("rule 3")
 
     def test_rule2_cyclic_rhs(self):
+        # Rule 2 comes from the atom's own search in plan, not the prechecks.
         q = parse_query("ans() :- u = x1.x2.x1.x3.x1", AB)
         nq = normalize(q)
-        reason = cyclicity_prechecks(nq, weak_join_tree(nq))
-        assert reason is not None and reason.startswith("rule 2")
+        assert cyclicity_prechecks(nq, weak_join_tree(nq)) is None
+        with pytest.raises(CyclicQueryError) as exc:
+            plan(q)
+        assert exc.value.stage == "precheck"
+        assert exc.value.detail == "rule 2: right side of u = x1.x2.x1.x3.x1 is a cyclic pattern"
+
+    @pytest.mark.parametrize("text, stage, rule", [
+        ("x = p.q, y = q.r, z = r.p, u = x1.x2.x1.x3.x1", "weak-join-tree", "rule 1"),
+        ("x = y2.y3.y4.y5, z = y5.y4.y3.y2, u = x1.x2.x1.x3.x1", "precheck", "rule 2"),
+        ("x1 = y1.y2.y3, x2 = y1.y4.y3, u = w1.w2.w1.w3.w1", "precheck", "rule 2"),
+        ("x1 = y1.y2.y3, x2 = y1.y4.y3, x = a2.a3.a4.a5, z = a5.a4.a3.a2", "precheck", "rule 3"),
+        ("x1 = y1.y2.y3, x2 = y1.y4.y3", "atom-decomposition", "atom x1"),
+    ])
+    def test_reasons_in_rule_order(self, text, stage, rule):
+        with pytest.raises(CyclicQueryError) as exc:
+            plan(parse_query(f"ans() :- {text}", AB))
+        assert exc.value.stage == stage and exc.value.detail.startswith(rule)
+
+    def test_one_search_per_atom(self, monkeypatch):
+        import wordeq.decompose as decompose
+        calls = []
+        search = decompose._solve_binary
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(decompose, "_solve_binary", counted)
+        plan(parse_query("ans() :- u = x.y.x.z, v = w.w.q", AB))
+        assert len(calls) == 2
 
     def test_lvdecomp_passes(self):
         q = parse_query("ans() :- x1 = y1.y2.y3, x2 = y2.y3.y3.y4", AB)
@@ -255,6 +284,7 @@ class TestPlan:
     @pytest.mark.parametrize("text", [
         "ans(x,y) :- x = z1.z2, y = z1.z3, x in /a(a|b)*/, z1 in /a+/",
         "ans() :- u = x1.x2.x3.x1.x2.x3.x1.x2.x3",
+        "ans() :- x = y1.y2.y3, z = y1.y2.y4",
     ])
     def test_plan_leaves_no_reference_cycles(self, text):
         """Planning frees its search tables by reference counting alone."""
