@@ -105,14 +105,13 @@ def sercq_to_fccq(p: SercqAst) -> FcCq:
         node_var: dict[int, Variable] = {}
         parent: dict[int, tuple[ParseNode, int]] = {}
         order: list[ParseNode] = []
-
-        def visit(n: ParseNode) -> None:
+        todo = [root]
+        while todo:
+            n = todo.pop()
             order.append(n)
             for i, c in enumerate(n.children):
                 parent[id(c)] = (n, i)
-                visit(c)
-
-        visit(root)
+            todo.extend(reversed(n.children))
         for n in order:
             if n.kind == "bind":
                 node_var[id(n)] = content_var(n.expr.var)  # type: ignore[attr-defined]

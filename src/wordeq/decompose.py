@@ -8,6 +8,7 @@ that graph yields the decomposition itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .model import (
@@ -27,9 +28,6 @@ from .model import (
     is_terminal_free,
     vars_of,
 )
-
-Interval = tuple[int, int]  # 1-based, inclusive
-
 
 def terminal_free_core(p: Pattern, fresh: Optional[FreshVars] = None) -> tuple[Pattern, dict[Variable, str]]:
     """Replace each maximal terminal block with a fresh variable.
@@ -96,11 +94,8 @@ class _Intervals:
                 fid[i * w + j] = f
         self.factors = len(trie)
 
-    def fid_of(self, iv: Interval) -> int:
-        return self.fid[iv[0] * (self.n + 1) + iv[1]]
-
-    def mask_of(self, iv: Interval) -> int:
-        return self.mask[iv[0] * (self.n + 1) + iv[1]]
+    def fid_of(self, i: int, j: int) -> int:
+        return self.fid[i * (self.n + 1) + j]
 
 
 @dataclass
@@ -116,11 +111,11 @@ class _Derivation:
     splits: list[int]
 
     def acyclic(self, i: int, k: int) -> bool:
-        return i == k or self.splits[self.ivs.fid_of((i, k))] > 0
+        return i == k or self.splits[self.ivs.fid_of(i, k)] > 0
 
     def split_points(self, i: int, k: int) -> list[int]:
         """The split points j of [i..k] (left part [i..j]), ascending."""
-        s = self.splits[self.ivs.fid_of((i, k))]
+        s = self.splits[self.ivs.fid_of(i, k)]
         return [i + a - 1 for a in range(1, k - i + 1) if s >> a & 1]
 
 
@@ -338,7 +333,7 @@ def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars, ivs: _Int
     by_fid: dict[int, Variable] = {}
     for v in range(1, len(labels)):
         if children[v]:
-            f = ivs.fid_of((start[v], end[v]))
+            f = ivs.fid_of(start[v], end[v])
             if f not in by_fid:
                 by_fid[f] = fresh.fresh("z")
             labels[v] = by_fid[f]
@@ -568,29 +563,62 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
 # --- k-ary decompositions --------------------------------------------------------
 
 
-def _compositions(i: int, k: int, max_parts: int) -> Iterable[tuple[Interval, ...]]:
-    """Contiguous partitions of [i..k] into 2..max_parts intervals."""
-    def rec(start: int, parts_left: int) -> Iterable[tuple[Interval, ...]]:
-        if parts_left == 1:
-            yield ((start, k),)
-            return
-        for end in range(start, k - parts_left + 2):
-            for rest in rec(end + 1, parts_left - 1):
-                yield ((start, end),) + rest
+@dataclass
+class _KaryDerivation:
+    """Result of the k-ary fixed point, per factor id.
 
-    for parts in range(2, max_parts + 1):
-        if parts > k - i + 1:
-            break
-        yield from rec(i, parts)
+    ``tuples[f]`` lists the localized tuples of factor ``f`` as tuples of
+    part factor ids, fewer parts first, then lexicographically by cut
+    points; a longer factor is k-ary local iff its list is not empty.
+    ``leaves`` maps each single-variable factor to its variable.
+    """
+
+    tuples: list[list[tuple[int, ...]]]
+    masks: list[int]
+    leaves: dict[int, Variable]
 
 
-def _kary_tuple_localized(ivs: _Intervals, child_fids: dict[Interval, set[int]],
-                          children: Sequence[Interval]) -> bool:
-    """Every two siblings are equal, share no variable, or one equals an edge
-    child of the other."""
-    return all(ivs.fid_of(u) == ivs.fid_of(v) or ivs.mask_of(u) & ivs.mask_of(v) == 0
-               or ivs.fid_of(u) in child_fids.get(v, ()) or ivs.fid_of(v) in child_fids.get(u, ())
-               for a, u in enumerate(children) for v in children[a + 1:])
+def _solve_kary(ivs: _Intervals, arity: int) -> _KaryDerivation:
+    """Grow localized intervals in increasing length order, as
+    ``_solve_binary`` does: the first interval spelling a factor tries its
+    compositions into 2..arity acyclic parts, later ones reuse the result.
+    Siblings must be equal, share no variable, or one must be a part of a
+    tuple of the other."""
+    n = ivs.n
+    w = n + 1
+    fid, mask = ivs.fid, ivs.mask
+    tuples: list = [None] * ivs.factors
+    kids: list[set[int]] = [set() for _ in range(ivs.factors)]
+    masks = [0] * ivs.factors
+    leaves: dict[int, Variable] = {}
+    # Bit j of start[i]: [i..j] is known localized.
+    start = [0] * (n + 1)
+    for i in range(1, n + 1):
+        f = fid[i * w + i]
+        tuples[f], masks[f], leaves[f] = [], mask[i * w + i], ivs.pat[i - 1]
+        start[i] = 1 << i
+
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            k = i + length - 1
+            f = fid[i * w + k]
+            found = tuples[f]
+            if found is None:
+                found = tuples[f] = []
+                masks[f] = mask[i * w + k]
+                for parts in range(2, min(arity, length) + 1):
+                    for cuts in combinations(range(i, k), parts - 1):
+                        bounds = (i - 1,) + cuts + (k,)
+                        if not all(start[a + 1] >> b & 1 for a, b in zip(bounds, bounds[1:])):
+                            continue
+                        comp = tuple(fid[(a + 1) * w + b] for a, b in zip(bounds, bounds[1:]))
+                        if all(u == v or masks[u] & masks[v] == 0 or u in kids[v] or v in kids[u]
+                               for x, u in enumerate(comp) for v in comp[x + 1:]):
+                            found.append(comp)
+                            kids[f].update(comp)
+            if found:
+                start[i] |= 1 << k
+    return _KaryDerivation(tuples, masks, leaves)
 
 
 def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
@@ -598,75 +626,45 @@ def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
     """Localized k-ary decomposition, or None when the pattern is not k-ary local.
 
     Sufficient but not necessary for k-ary acyclicity when k exceeds 2: some
-    acyclic k-ary decompositions are not localized.
+    acyclic k-ary decompositions are not localized.  At k = 2 localization
+    is acyclicity, and the binary search answers.
     """
     if k < 2:
         raise ValueError("arity must be at least 2")
     pat = _require_terminal_free(p)
     if not pat:
         raise ValueError("the empty pattern has no bracketing")
+    if k == 2:
+        return find_acyclic_decomposition(pat, root, fresh)
     if fresh is None:
         fresh = FreshVars(v.name for v in vars_of(p) | {root})
-
     ivs = _Intervals(pat)
-    n = ivs.n
-    nodes: set[Interval] = {(i, i) for i in range(1, n + 1)}
-    tuples: dict[Interval, list[tuple[Interval, ...]]] = {}
-    child_fids: dict[Interval, set[int]] = {}
-
-    # Children are strictly shorter than their interval, so one pass in
-    # length order reaches the fixed point.  Singleton pairs are always
-    # admissible (equal factors or disjoint variable sets), which covers the
-    # unit-partition seeds.
-    for length in range(2, n + 1):
-        for i in range(1, n - length + 2):
-            iv = (i, i + length - 1)
-            for comp in _compositions(i, iv[1], k):
-                if not all(c in nodes for c in comp):
-                    continue
-                if not _kary_tuple_localized(ivs, child_fids, comp):
-                    continue
-                tuples.setdefault(iv, []).append(comp)
-                nodes.add(iv)
-                fs = child_fids.setdefault(iv, set())
-                fs.update(ivs.fid_of(c) for c in comp)
-
-    if (1, n) not in nodes:
-        return None
-    tree = _derive_kary(ivs, tuples, (1, n), None, {})
+    tree = _derive_kary(_solve_kary(ivs, k), ivs.fid_of(1, ivs.n), None, {})
     if tree is None:
         return None
     return _decomposition_of(tree, root, fresh, ivs)
 
 
-def _derive_kary(
-    ivs: _Intervals,
-    tuples: dict[Interval, list[tuple[Interval, ...]]],
-    iv: Interval,
-    forced: Optional[tuple[Interval, ...]],
-    memo: dict,
-) -> Optional[Bracketing]:
-    """Backtracking tree derivation: pick a tuple per interval plus witness
+def _derive_kary(deriv: _KaryDerivation, f: int, forced: Optional[tuple[int, ...]],
+                 memo: dict) -> Optional[Bracketing]:
+    """Backtracking tree derivation: pick a tuple per factor plus witness
     commitments for overlapping sibling pairs, revisiting earlier choices when
     a committed subtree cannot be completed (the greedy order can dead-end)."""
-    if iv[0] == iv[1]:
-        return BLeaf(ivs.pat[iv[0] - 1])
-    key = (iv, forced)
+    if f in deriv.leaves:
+        return BLeaf(deriv.leaves[f])
+    key = (f, forced)
     if key in memo:
         return memo[key]
     result: Optional[Bracketing] = None
-    candidates = (forced,) if forced is not None else tuple(tuples.get(iv, ()))
-    for comp in candidates:
-        for commitments in _kary_commitments(ivs, tuples, comp):
+    for comp in (forced,) if forced is not None else deriv.tuples[f]:
+        for commitments in _kary_commitments(deriv, comp):
             kids: list[Bracketing] = []
-            ok = True
-            for c in comp:
-                sub = _derive_kary(ivs, tuples, c, commitments.get(c), memo)
+            for at, c in enumerate(comp):
+                sub = _derive_kary(deriv, c, commitments.get(at), memo)
                 if sub is None:
-                    ok = False
                     break
                 kids.append(sub)
-            if ok:
+            else:
                 result = BNode(tuple(kids))
                 break
         if result is not None:
@@ -675,40 +673,22 @@ def _derive_kary(
     return result
 
 
-def _kary_commitments(
-    ivs: _Intervals,
-    tuples: dict[Interval, list[tuple[Interval, ...]]],
-    comp: tuple[Interval, ...],
-) -> Iterable[dict[Interval, tuple[Interval, ...]]]:
-    """All consistent witness assignments for the sibling pairs of a tuple.
+def _kary_commitments(deriv: _KaryDerivation, comp: tuple[int, ...]
+                      ) -> Iterable[dict[int, tuple[int, ...]]]:
+    """All consistent witness assignments, by part index, for the sibling
+    pairs of a tuple.
 
     A pair of overlapping, unequal siblings needs one side expanded by a
-    tuple that contains the other side's factor."""
-    pairs = [(comp[a], comp[b]) for a in range(len(comp)) for b in range(a + 1, len(comp))
-             if ivs.fid_of(comp[a]) != ivs.fid_of(comp[b])
-             and ivs.mask_of(comp[a]) & ivs.mask_of(comp[b]) != 0]
-
-    def options(parent: Interval, want_fid: int,
-                commitments: dict[Interval, tuple[Interval, ...]]):
-        if parent in commitments:
-            if any(ivs.fid_of(c) == want_fid for c in commitments[parent]):
-                yield commitments[parent], False
-            return
-        for t in tuples.get(parent, ()):
-            if any(ivs.fid_of(c) == want_fid for c in t):
-                yield t, True
-
-    def rec(at: int, commitments: dict[Interval, tuple[Interval, ...]]):
-        if at == len(pairs):
-            yield dict(commitments)
-            return
-        u, v = pairs[at]
-        for side, other in ((v, u), (u, v)):
-            for t, fresh_commit in options(side, ivs.fid_of(other), commitments):
-                if fresh_commit:
-                    commitments[side] = t
-                yield from rec(at + 1, commitments)
-                if fresh_commit:
-                    del commitments[side]
-
-    yield from rec(0, {})
+    tuple that contains the other side's factor: the right side first, then
+    the left.  A part committed for one pair keeps its tuple for the rest."""
+    tuples, masks = deriv.tuples, deriv.masks
+    options = []
+    for a, u in enumerate(comp):
+        for b in range(a + 1, len(comp)):
+            v = comp[b]
+            if u != v and masks[u] & masks[v]:
+                options.append([(b, t) for t in tuples[v] if u in t] + [(a, t) for t in tuples[u] if v in t])
+    for choice in product(*options):
+        commitments: dict[int, tuple[int, ...]] = {}
+        if all(commitments.setdefault(at, t) == t for at, t in choice):
+            yield commitments

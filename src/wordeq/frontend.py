@@ -372,28 +372,28 @@ def parse_pattern_literal(text: str, alphabet: Alphabet) -> Pattern:
 # --- SERCQs --------------------------------------------------------------------
 
 
-def _validate_formula(f: RegexAst, text_span: SourceSpan) -> None:
-    def walk(node: RegexAst, under_star: bool, bound: list[Variable]) -> None:
-        if isinstance(node, RUnion):
-            if svars(node.left) or svars(node.right):
-                raise NotSynchronizedError("variable binding under a union", text_span)
-            return
-        if isinstance(node, RStar):
-            if svars(node.inner):
-                raise NotFunctionalError("variable binding under a star", text_span)
-            return
-        if isinstance(node, RBind):
-            if node.var in bound:
-                raise NotFunctionalError(f"variable {node.var} bound twice in one formula",
-                                         text_span)
-            bound.append(node.var)
-            walk(node.inner, under_star, bound)
-            return
-        if isinstance(node, RConcat):
-            walk(node.left, under_star, bound)
-            walk(node.right, under_star, bound)
-
-    walk(f, False, [])
+# Module-level, not a closure: a closure that calls itself is a reference cycle.
+def _validate_formula(node: RegexAst, text_span: SourceSpan, bound: list[Variable]) -> None:
+    """Reject bindings under a union or a star, and variables bound twice;
+    ``bound`` collects the variables bound so far in the formula."""
+    if isinstance(node, RUnion):
+        if svars(node.left) or svars(node.right):
+            raise NotSynchronizedError("variable binding under a union", text_span)
+        return
+    if isinstance(node, RStar):
+        if svars(node.inner):
+            raise NotFunctionalError("variable binding under a star", text_span)
+        return
+    if isinstance(node, RBind):
+        if node.var in bound:
+            raise NotFunctionalError(f"variable {node.var} bound twice in one formula",
+                                     text_span)
+        bound.append(node.var)
+        _validate_formula(node.inner, text_span, bound)
+        return
+    if isinstance(node, RConcat):
+        _validate_formula(node.left, text_span, bound)
+        _validate_formula(node.right, text_span, bound)
 
 
 def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
@@ -431,7 +431,7 @@ def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
     while True:
         fstart = sc.pos
         formula = _RegexParser(sc, alphabet, allow_bindings=True).parse_union()
-        _validate_formula(formula, SourceSpan(fstart, sc.pos))
+        _validate_formula(formula, SourceSpan(fstart, sc.pos), [])
         formulas.append(formula)
         sc.skip_ws()
         if sc.text.startswith("join", sc.pos):
@@ -468,56 +468,57 @@ def print_regex(ast: RegexAst, alphabet: Optional[Alphabet] = None,
     concatenations dotted, which keeps them apart from binding identifiers.
     """
     sigma = regex_any_of(alphabet.symbols) if alphabet is not None else None
-    dot = "." if quote_literals else ""
+    return _printed(ast, sigma, quote_literals)
 
-    def prec(node: RegexAst) -> int:
-        if sigma is not None and node == sigma:
-            return 3  # prints as the atomic macro S
-        if isinstance(node, RUnion):
-            return 1
-        if isinstance(node, RConcat):
-            return 2
-        return 3
 
-    def go(node: RegexAst) -> str:
-        if sigma is not None and node == sigma:
-            return "S"
-        if isinstance(node, REmpty):
-            return "#"
-        if isinstance(node, REpsilon):
-            return "''"
-        if isinstance(node, RLit):
-            return f"'{node.symbol}'" if quote_literals else node.symbol
-        if isinstance(node, RBind):
-            return f"{node.var.name}{{{go(node.inner)}}}"
-        if isinstance(node, RStar):
-            body = go(node.inner)
-            if prec(node.inner) < 3:
+def _precedence(node: RegexAst, sigma: Optional[RegexAst]) -> int:
+    if sigma is not None and node == sigma:
+        return 3  # prints as the atomic macro S
+    if isinstance(node, RUnion):
+        return 1
+    if isinstance(node, RConcat):
+        return 2
+    return 3
+
+
+# Module-level, not a closure: a closure that calls itself is a reference cycle.
+def _printed(node: RegexAst, sigma: Optional[RegexAst], quote_literals: bool) -> str:
+    if sigma is not None and node == sigma:
+        return "S"
+    if isinstance(node, REmpty):
+        return "#"
+    if isinstance(node, REpsilon):
+        return "''"
+    if isinstance(node, RLit):
+        return f"'{node.symbol}'" if quote_literals else node.symbol
+    if isinstance(node, RBind):
+        return f"{node.var.name}{{{_printed(node.inner, sigma, quote_literals)}}}"
+    if isinstance(node, RStar):
+        body = _printed(node.inner, sigma, quote_literals)
+        if _precedence(node.inner, sigma) < 3:
+            body = f"({body})"
+        return body + "*"
+    if isinstance(node, RConcat):
+        # X.X* prints as X+ (the parser expands + the same way).
+        if isinstance(node.right, RStar) and node.right.inner == node.left:
+            body = _printed(node.left, sigma, quote_literals)
+            if _precedence(node.left, sigma) < 3:
                 body = f"({body})"
-            return body + "*"
-        if isinstance(node, RConcat):
-            # X.X* prints as X+ (the parser expands + the same way).
-            if isinstance(node.right, RStar) and node.right.inner == node.left:
-                body = go(node.left)
-                if prec(node.left) < 3:
-                    body = f"({body})"
-                return body + "+"
-            left = go(node.left)
-            if prec(node.left) < 2:
-                left = f"({left})"
-            right = go(node.right)
-            if prec(node.right) < 3:
-                right = f"({right})"
-            return left + dot + right
-        if isinstance(node, RUnion):
-            left = go(node.left)
-            right = go(node.right)
-            if isinstance(node.right, RUnion):
-                right = f"({right})"
-            return f"{left}|{right}"
-        raise TypeError(f"unknown regex node {node!r}")
-
-    return go(ast)
+            return body + "+"
+        left = _printed(node.left, sigma, quote_literals)
+        if _precedence(node.left, sigma) < 2:
+            left = f"({left})"
+        right = _printed(node.right, sigma, quote_literals)
+        if _precedence(node.right, sigma) < 3:
+            right = f"({right})"
+        return left + ("." if quote_literals else "") + right
+    if isinstance(node, RUnion):
+        left = _printed(node.left, sigma, quote_literals)
+        right = _printed(node.right, sigma, quote_literals)
+        if isinstance(node.right, RUnion):
+            right = f"({right})"
+        return f"{left}|{right}"
+    raise TypeError(f"unknown regex node {node!r}")
 
 
 def print_pattern(p: Pattern) -> str:

@@ -186,10 +186,6 @@ def weak_join_tree(nq: NormalizedQuery) -> Optional[JoinTree]:
     return gyo([(eq, eq.variables()) for eq in eqs])
 
 
-def edge_shared_vars(tree: JoinTree, a: int, b: int) -> frozenset[Variable]:
-    return tree.var_sets[a] & tree.var_sets[b]
-
-
 def cyclicity_prechecks(nq: NormalizedQuery, weak: Optional[JoinTree]) -> Optional[str]:
     """Reasons the query is definitely cyclic by rules 1, 3 and 4, or None;
     ``plan`` decides rule 2 (a cyclic right side) by each atom's search."""
@@ -220,7 +216,6 @@ class Plan:
     normalized: NormalizedQuery
     weak_tree: JoinTree
     atom_groups: tuple[tuple[int, ...], ...]   # node indices per original equation
-    constraint_nodes: tuple[int, ...] = ()
 
     def explain(self) -> str:
         lines = ["normalized query:"]
@@ -260,7 +255,7 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
 
     incident: dict[int, list[frozenset[Variable]]] = {i: [] for i in range(len(eqs))}
     for a, b in weak.edges:
-        label = edge_shared_vars(weak, a, b)
+        label = weak.var_sets[a] & weak.var_sets[b]
         incident[a].append(label)
         incident[b].append(label)
 
@@ -313,18 +308,16 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
         raise AssertionError(f"no atom covers {set(needed)}")
 
     for a, b in weak.edges:
-        label = frozenset(v for v in edge_shared_vars(weak, a, b) if not v.is_universe)
+        label = weak.var_sets[a] & weak.var_sets[b]
         edges.append((anchor(groups[a], label), anchor(groups[b], label)))
 
     # Regular constraints are unary: hang each off a node containing its
     # variable, chaining constraints on variables no equation mentions.
-    constraint_nodes: list[int] = []
     placed_constraint: dict[Variable, int] = {}
     for c in nq.query.constraints:
         idx = len(nodes)
         nodes.append(c)
         node_vars.append(frozenset() if c.var.is_universe else frozenset([c.var]))
-        constraint_nodes.append(idx)
         target: Optional[int] = None
         if not c.var.is_universe:
             for g in groups:
@@ -349,44 +342,15 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
     introduced = frozenset().union(*(psi.introduced for psi in decomposed)) if decomposed else frozenset()
     query = TwoFcCq(head=nq.query.head, equations=small_eqs,
                     constraints=nq.query.constraints, introduced=introduced)
-    return Plan(query=query, tree=tree, normalized=nq, weak_tree=weak,
-                atom_groups=tuple(groups), constraint_nodes=tuple(constraint_nodes))
+    return Plan(query=query, tree=tree, normalized=nq, weak_tree=weak, atom_groups=tuple(groups))
 
 
 def skeleton_of(p: Plan) -> JoinTree:
-    """Contract the plan's join tree by atom membership; a weak join tree."""
-    owner: dict[int, int] = {}
-    for g_idx, group in enumerate(p.atom_groups):
-        for node in group:
-            owner[node] = g_idx
-    # Constraint leaves join the group they hang off.
-    adj = p.tree.adjacency()
-    pending = [n for n in p.constraint_nodes]
-    while pending:
-        nxt = []
-        for n in pending:
-            hosts = [owner[m] for m in adj[n] if m in owner]
-            if hosts:
-                owner[n] = hosts[0]
-            else:
-                nxt.append(n)
-        if len(nxt) == len(pending):
-            for n in nxt:
-                owner[n] = 0
-            break
-        pending = nxt
-
-    eqs = p.normalized.query.equations
-    edges = set()
-    for a, b in p.tree.edges:
-        ga, gb = owner[a], owner[b]
-        if ga != gb:
-            edges.add((min(ga, gb), max(ga, gb)))
-    return JoinTree(
-        nodes=tuple(eqs),
-        var_sets=tuple(frozenset(v for v in eq.variables() if not v.is_universe) for eq in eqs),
-        edges=tuple(sorted(edges)),
-    )
+    """The plan's join tree contracted to one node per atom: the weak join
+    tree, with each edge as a (min, max) pair, in sorted order."""
+    weak = p.weak_tree
+    return JoinTree(nodes=weak.nodes, var_sets=weak.var_sets,
+                    edges=tuple(sorted((min(a, b), max(a, b)) for a, b in weak.edges)))
 
 
 def prefactor_common_subpatterns(q: FcCq) -> FcCq:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from wordeq.bridge import (
     sercq_to_fccq,
 )
 from wordeq.evaluator import enumerate_results
-from wordeq.frontend import parse_query, parse_regex, parse_sercq
+from wordeq.frontend import parse_query, parse_regex, parse_sercq, print_query
 from wordeq.index import build_index
 from wordeq.model import CyclicQueryError, NotPseudoAcyclicError
 from wordeq.oracle import brute_evaluate, brute_sercq_evaluate
@@ -88,6 +89,25 @@ class TestSercqToFccq:
         q = sercq_to_fccq(p)
         assert q.equations == ()
         assert len(q.constraints) == 1 and q.constraints[0].var.is_universe
+
+    @pytest.mark.parametrize("text", [
+        "pi{x1} eq{x1,y2} ( 'a'*.x1{S+}.('a'|'b') join S.x2{'ab'}.''.y2{'b'+} )",
+        "pi{} ( x{y{'a'*}.S} join 'ab' )",
+    ])
+    def test_conversion_leaves_no_reference_cycles(self, text):
+        """Parsing, converting and printing free their trees by reference
+        counting alone."""
+        sercq = parse_sercq(text, AB)
+        query = sercq_to_fccq(sercq)
+        gc.collect()
+        gc.disable()
+        try:
+            for step in (lambda: parse_sercq(text, AB), lambda: sercq_to_fccq(sercq),
+                         lambda: print_query(query, AB)):
+                step()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_realization_semantics(self):
         cases = [

@@ -190,19 +190,19 @@ class TestFindDecomposition:
 
     def test_deeper_than_the_recursion_limit(self):
         # x1^n nests n deep: the search's bracketing is built and walked
-        # with explicit stacks.
+        # with explicit stacks, and k-local at k = 2 is the same search.
         p = (v("x1"),) * (sys.getrecursionlimit() + 100)
-        two = find_acyclic_decomposition(p, UNIVERSE)
-        assert two is not None
-        defs = {**two.defining(), UNIVERSE: two.root_equation()}
-        leaves, todo = [], [UNIVERSE]
-        while todo:
-            x = todo.pop()
-            if x in defs:
-                todo.extend(reversed(defs[x].rhs))
-            else:
-                leaves.append(x)
-        assert tuple(leaves) == p
+        for two in (find_acyclic_decomposition(p, UNIVERSE), k_ary_local_decomposition(p, 2)):
+            assert two is not None
+            defs = {**two.defining(), UNIVERSE: two.root_equation()}
+            leaves, todo = [], [UNIVERSE]
+            while todo:
+                x = todo.pop()
+                if x in defs:
+                    todo.extend(reversed(defs[x].rhs))
+                else:
+                    leaves.append(x)
+            assert tuple(leaves) == p
 
     def test_always_sound(self):
         for p in canonical_patterns(7, 3):
@@ -365,6 +365,21 @@ class TestKary:
             p = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
             results = [k_ary_local_decomposition(p, k) is not None for k in (2, 3, 4)]
             assert results == sorted(results), p
+
+    def test_outputs_beyond_the_golden_set(self):
+        # sha256 of the k = 3 and k = 4 outputs below as printed by the
+        # search that tried every composition of every interval; the golden
+        # test stops at length 7, these patterns run from 8 to 12.
+        rng = random.Random(12)
+        lines = []
+        for _ in range(120):
+            pool = [Variable(f"x{i}") for i in range(1, rng.randint(1, 4) + 1)]
+            p = tuple(rng.choice(pool) for _ in range(rng.randint(8, 12)))
+            lines.append(" | ".join([".".join(x.name for x in p), _shown(k_ary_local_decomposition(p, 3)),
+                                     _shown(k_ary_local_decomposition(p, 4))]))
+        text = "\n".join(lines) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "051088e9e330f936f07971283ac8004b8d1246338c2633ec5292123ca0149ce3"
 
     def test_localized_output_only(self):
         # Whenever the k-ary engine answers, its decomposition is localized
