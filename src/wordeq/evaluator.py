@@ -234,10 +234,13 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex
         p = parent[v]
         rel = sized.get(v)
         if rel is None:
-            allowed = None if p is None else {
+            node = tree.nodes[v]
+            # A grounded equation's rows are the word's cuts whatever its parent allows.
+            grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
+            allowed = None if p is None or grounded else {
                 x: {row[i] for row in rels[p].rows}
                 for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
-            rel = materialize_atom(ix, tree.nodes[v], allowed)
+            rel = materialize_atom(ix, node, allowed)
         rels[v] = rel if p is None else semijoin(rel, rels[p])
     return rels, order, children, parent
 

@@ -2,21 +2,20 @@
 lookup and per-factor regex membership.
 
 Factor ids canonicalize factor equality: two spans get the same id exactly
-when they spell the same word.  Each id is keyed by its leftmost occurrence,
-(start, length) packed into one int, so the index keeps no factor strings:
-`word_of` slices the canonical span on demand.  Ids are handed out lazily by
-`_leftmost_id` once the leftmost start is known.  A prefix is its own leftmost
-occurrence, and the leftmost start of every suffix comes from one Z-function
-pass over the reversed word (Gusfield 1997, ch. 1), run on first use.  So
-the cuts of the whole word (`splits(whole_word_id(), 2)`), all a grounded
-binary atom needs, are integer-key lookups with no slicing, string hashing or
-search: O(n) time and memory.  Other single lookups (`id_of_word`,
-`factor_id`, `regex_members` before the table, and the one middle cut of
-`square_root`) find the leftmost start with one `str.find`.
+when they spell the same word.  A factor's id is its leftmost occurrence,
+`start * (n + 1) + length`, so the index stores neither factor strings nor
+ids: `occurrence` is one `divmod`, epsilon is 0, the whole word is n.
+The prefix of length k is its own leftmost occurrence, id k, and the leftmost
+start of every suffix comes from one Z-function pass over the reversed word
+(Gusfield 1997, ch. 1), run on first use.  So the cuts of the whole word
+(`splits(whole_word_id(), 2)`), all a grounded binary atom needs, are integer
+arithmetic with no slicing, string hashing or search: O(n) time and memory.
+Other single lookups (`id_of_word`, `factor_id` before the table, and the one
+middle cut of `square_root`) find the leftmost start with one `str.find`.
 
 `regex_members(regex, among)` checks only the given ids: the lazy DFA runs
-once from each distinct leftmost start among them, up to their farthest end,
-and reads the accepted ids off their (start, end) keys.  The evaluator roots
+once from each distinct start among them, up to their farthest end, and an
+accepted span is a member iff its key is among them.  The evaluator roots
 its join tree at the first grounded equation, else at the regular constraint
 with the fewest members, else at node 0, and passes each constraint below the
 root the ids its parent allows.  So a constraint on `u` is one run over the
@@ -25,11 +24,12 @@ from offset 0 that stops where the DFA dies; only a constraint sized for the
 root choice runs from every start, O(n^2) steps.
 
 `factor_table()` builds the table of every span: `table[i][k]` is the id of
-`w[i:i+k]` (0-based).  A trie over (parent id, letter) numbers the spans in
-order of start, so the first visit of a factor is its leftmost start: O(n^2)
-work in all, and ids handed out before keep their numbers.  The table holds
-about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is never built by
-the constructor or for grounded atoms; with it, a cut is two list reads.
+`w[i:i+k]` (0-based).  A trie over (parent id, letter) visits the spans in
+order of start, so a factor's first visit is its leftmost occurrence, and the
+new node is its id; the nodes made are the distinct factors.  O(n^2) work in
+all.  The table holds about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000)
+and is never built by the constructor or for grounded atoms; with it, a cut
+is two list reads.
 Relations of non-grounded equations read it: a left side restricted to m
 factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side with one
 right side restricted to ids of k distinct lengths walks the table from
@@ -68,7 +68,13 @@ def z_function(s: str) -> list[int]:
         z[0] = n
     left = right = 0
     for p in range(1, n):
-        k = min(right - p, z[p - left]) if p < right else 0
+        k = 0
+        if p < right:
+            k = z[p - left]
+            if k < right - p:       # short of the Z-box's edge: a copy, no compare
+                z[p] = k
+                continue
+            k = right - p
         while p + k < n and s[k] == s[p + k]:
             k += 1
         z[p] = k
@@ -96,8 +102,8 @@ def leftmost_suffix_starts(word: str) -> list[int]:
 
 
 class WordIndex:
-    """Factor ids and the factor table are filled in on first use, so an
-    index is not safe to share between threads."""
+    """The whole word's cuts and the factor table are filled in on first use,
+    so an index is not safe to share between threads."""
 
     def __init__(self, word: str, alphabet: Optional[Alphabet] = None):
         if alphabet is not None and not set(word) <= set(alphabet):
@@ -106,35 +112,23 @@ class WordIndex:
         self.word = word
         self.n = len(word)
         self._stride = self.n + 1
-        # Leftmost occurrence (start * stride + length) <-> id.
-        self._ids: dict[int, int] = {0: EPSILON_ID}
-        self._spans: list[int] = [0]
         self._word_cuts: Optional[list[tuple[int, int]]] = None
         self._table: Optional[list[list[int]]] = None
+        self._factors: list[int] = []       # distinct ids, filled with the table
 
     # -- identity -------------------------------------------------------------
 
-    def _leftmost_id(self, start: int, length: int) -> int:
-        """Id of the factor whose leftmost occurrence is w[start:start+length];
-        the caller guarantees it is leftmost (start 0 when length is 0)."""
-        key = start * self._stride + length
-        fid = self._ids.get(key)
-        if fid is None:
-            fid = self._ids[key] = len(self._spans)
-            self._spans.append(key)
-        return fid
-
     def occurrence(self, fid: int) -> tuple[int, int]:
         """Leftmost occurrence as 0-based, half-open (start, end)."""
-        start, length = divmod(self._spans[fid], self._stride)
+        start, length = divmod(fid, self._stride)
         return start, start + length
 
     def _whole_word_cuts(self) -> list[tuple[int, int]]:
         """(prefix id, suffix id) at each cut of the whole word, built once."""
         if self._word_cuts is None:
-            n, ident = self.n, self._leftmost_id
+            n, stride = self.n, self._stride
             suffix = leftmost_suffix_starts(self.word)
-            self._word_cuts = [(ident(0, k), ident(suffix[n - k], n - k)) for k in range(n + 1)]
+            self._word_cuts = [(k, suffix[n - k] * stride + n - k) for k in range(n + 1)]
         return self._word_cuts
 
     def check_span(self, s: Span) -> None:
@@ -151,11 +145,11 @@ class WordIndex:
         0 <= i <= j <= n (`factor_id` is the validating form)."""
         if self._table is not None:
             return self._table[i][j - i]
-        return self._leftmost_id(self.word.find(self.word[i:j], 0, j), j - i)
+        return self.word.find(self.word[i:j], 0, j) * self._stride + j - i
 
     def id_of_word(self, factor: str) -> Optional[int]:
         at = self.word.find(factor)
-        return None if at < 0 else self._leftmost_id(at, len(factor))
+        return None if at < 0 else at * self._stride + len(factor)
 
     def word_of(self, fid: int) -> str:
         start, end = self.occurrence(fid)
@@ -167,40 +161,44 @@ class WordIndex:
         return Span(start + 1, end + 1)
 
     def whole_word_id(self) -> int:
-        return self._leftmost_id(0, self.n)
+        return self.n
 
     def factor_count(self) -> int:
-        self.factor_table()
-        return len(self._spans)
+        return len(self.all_factor_ids())
 
     def factor_table(self) -> list[list[int]]:
         """`table[i][k]` is the id of w[i:i+k], built on first use; callers
         must not modify it."""
         if self._table is not None:
             return self._table
-        n, leftmost = self.n, self._leftmost_id
+        n = self.n
         codes = {ch: c for c, ch in enumerate(dict.fromkeys(self.word))}
         sigma = max(len(codes), 1)
         letters = [codes[ch] for ch in self.word]
         child: dict[int, int] = {}          # parent id * sigma + letter -> id
+        factors = [EPSILON_ID]
         table = []
         for i in range(n + 1):
             row = [EPSILON_ID]
             node = EPSILON_ID
+            key = i * n                         # + j + 1: the key of w[i:j+1]
             for j in range(i, n):
                 edge = node * sigma + letters[j]
                 node = child.get(edge, -1)
                 if node < 0:
                     # First visit in order of start: w[i:j+1] is leftmost here.
-                    node = child[edge] = leftmost(i, j + 1 - i)
+                    node = child[edge] = key + j + 1
+                    factors.append(node)
                 row.append(node)
             table.append(row)
+        self._factors = factors
         self._table = table
         return table
 
     def all_factor_ids(self) -> list[int]:
+        """Every distinct id once, epsilon first; callers must not modify it."""
         self.factor_table()
-        return list(range(len(self._spans)))
+        return self._factors
 
     # -- concatenation ----------------------------------------------------------
 
@@ -250,25 +248,23 @@ class WordIndex:
         """Ids of exactly those distinct factors the regex accepts; with
         `among`, only those among the given ids.  The NFA runs as a lazy DFA,
         each (state set, letter) step taken once: from every start, or with
-        `among` only from the leftmost starts of its ids, up to their
-        farthest end."""
+        `among` only from the starts of its ids, up to their farthest end."""
         nfa = thompson(regex)
         initial = nfa.initial()
         moves: dict[tuple[frozenset[int], str], frozenset[int]] = {}
         out: set[int] = set()
-        word, n, accept = self.word, self.n, nfa.accept
-        wanted: Optional[dict[int, dict[int, int]]] = None   # start -> end -> id
-        if among is not None:
-            wanted = {}
-            for fid in among:
-                start, end = self.occurrence(fid)
-                wanted.setdefault(start, {})[end] = fid
+        word, n, stride, accept = self.word, self.n, self._stride, nfa.accept
+        farthest = {i: n for i in range(n)} if among is None else {}   # start -> end
+        for fid in among or ():
+            start, length = divmod(fid, stride)
+            if farthest.get(start, 0) < start + length:
+                farthest[start] = start + length
         if accept in initial and (among is None or EPSILON_ID in among):
             out.add(EPSILON_ID)
-        for i in range(n) if wanted is None else wanted:
-            ends = None if wanted is None else wanted[i]
+        for i, end in farthest.items():
+            key = i * n                     # + j + 1: the key of w[i:j+1]
             states = initial
-            for j in range(i, n if ends is None else max(ends)):
+            for j in range(i, end):
                 move = (states, word[j])
                 states = moves.get(move)
                 if states is None:
@@ -276,10 +272,10 @@ class WordIndex:
                 if not states:
                     break
                 if accept in states:
-                    if ends is None:
+                    if among is None:
                         out.add(self.factor_at(i, j + 1))
-                    elif j + 1 in ends:
-                        out.add(ends[j + 1])
+                    elif key + j + 1 in among:
+                        out.add(key + j + 1)
         return out
 
 

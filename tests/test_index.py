@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import AB, all_words, random_regex
-from wordeq.index import EPSILON_ID, Span, build_index, leftmost_suffix_starts
+from wordeq.index import EPSILON_ID, Span, build_index, leftmost_suffix_starts, z_function
 from wordeq.model import InvalidSpanError
 from wordeq.nfa import Nfa, thompson
 
@@ -105,6 +105,60 @@ class TestFactorTable:
             n = len(w)
             assert all(ix.word_of(ix.factor_at(i, j)) == w[i:j]
                        for i in range(n + 1) for j in range(i, n + 1)), w
+
+
+class TestIdsAreKeys:
+    """An id is the key of its factor's leftmost occurrence, start * (n + 1)
+    + length, however the ids were first asked for."""
+
+    def test_ids_are_leftmost_keys(self, ab):
+        from wordeq.frontend import parse_regex
+        regex = parse_regex("b(a|b)*", ab)
+        for w in all_words("ab", 7):
+            n = len(w)
+            spans = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+            expected = {(i, j): w.find(w[i:j]) * (n + 1) + (j - i) for i, j in spans}
+            for early in (False, True):
+                ix = build_index(w)
+                if early:
+                    ix.id_of_word(w[1:3])
+                    ix.regex_members(regex)
+                    ix.splits(ix.whole_word_id(), 2)
+                    assert all(ix.factor_at(i, j) == key for (i, j), key in expected.items()), w
+                ids = ix.all_factor_ids()
+                assert all(ix.factor_at(i, j) == key for (i, j), key in expected.items()), w
+                assert len(ids) == len(set(ids)) == len(brute_distinct_factors(w)), w
+                assert set(ids) == set(expected.values()), w
+                assert ix.factor_count() == len(ids), w
+                assert ix.whole_word_id() == n and ix.factor_at(0, 0) == EPSILON_ID
+
+
+class TestZFunction:
+    """`z_function` against a longest-common-prefix scan."""
+
+    @staticmethod
+    def check(s: str) -> None:
+        n = len(s)
+        z = z_function(s)
+        assert len(z) == n
+        for p in range(n):
+            k = 0
+            while p + k < n and s[k] == s[p + k]:
+                k += 1
+            assert z[p] == k, (s, p)
+
+    def test_every_short_word(self):
+        for w in all_words("ab", 10):
+            self.check(w)
+
+    def test_long_words(self):
+        rng = random.Random(3)
+        for n in (500, 1300, 2000):
+            self.check("a" * n)
+            self.check(("ab" * n)[:n])
+            half = "".join(rng.choice("ab") for _ in range(n // 2))
+            self.check(half + half)
+            self.check("".join(rng.choice("ab") for _ in range(n)))
 
 
 class TestSuffixStarts:
