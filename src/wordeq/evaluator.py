@@ -23,7 +23,6 @@ from .model import (
     SmallEquation,
     TwoFcCq,
     Variable,
-    gyo,
 )
 from .oracle import brute_evaluate
 from .planner import Plan, plan
@@ -329,13 +328,6 @@ def enumerate_results(plan: Plan, ix: WordIndex) -> Iterator[ResultTuple]:
         if answer not in seen:
             seen.add(answer)
             yield ResultTuple(tuple(zip(head, answer)))
-
-
-def join_tree_for(two: TwoFcCq) -> Optional[JoinTree]:
-    """Join tree over all atoms of a short-equation query (constraints too)."""
-    atoms: list[tuple[object, set[Variable]]] = [(eq, eq.variables()) for eq in two.equations]
-    atoms += [(c, {c.var}) for c in two.constraints]
-    return gyo(atoms)
 
 
 def brute_results(q: FcCq, ix: WordIndex) -> Iterator[ResultTuple]:

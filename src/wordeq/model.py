@@ -5,7 +5,9 @@ threads; all operations are pure functions.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 #: Characters that the query grammar claims for itself.  No alphabet may
@@ -144,19 +146,6 @@ def vars_of(p: Pattern) -> set[Variable]:
 
 def is_terminal_free(p: Pattern) -> bool:
     return all(isinstance(it, Variable) for it in p)
-
-
-def apply_substitution(p: Pattern, subst: dict[Variable, str]) -> str:
-    """Morphic image of the pattern: terminals fixed, variables replaced."""
-    out: list[str] = []
-    for it in p:
-        if isinstance(it, Variable):
-            if it not in subst:
-                raise UnboundVariableError(f"variable {it} not bound by the substitution")
-            out.append(subst[it])
-        else:
-            out.append(it)
-    return "".join(out)
 
 
 # --- regular expressions ---------------------------------------------------
@@ -475,55 +464,77 @@ class JoinTree:
 def gyo(atoms: Sequence[tuple[object, Iterable[Variable]]]) -> Optional[JoinTree]:
     """Mark-and-absorb acyclicity test; returns a join tree or None if cyclic.
 
-    Tie-breaking is deterministic: the lowest-index absorbable node is
-    absorbed into the lowest-index eligible absorber.
+    Tie-breaking is deterministic: each round absorbs the lowest-index
+    absorbable node into the lowest-index eligible absorber, then marks every
+    variable that one remaining node holds.  Marking cannot break a cover, and
+    an absorbed absorber hands its covers on, except to the node it was
+    absorbed into; so a node becomes absorbable only when its live set
+    shrinks, and a min-heap of nodes to test again finds the next one.
     """
     payloads = tuple(name for name, _ in atoms)
     var_sets = tuple(frozenset(v for v in vs if not v.is_universe) for _, vs in atoms)
     n = len(payloads)
     if n == 0:
         raise ValueError("gyo needs at least one atom")
+    if n == 1:
+        return JoinTree(payloads, var_sets, ())
 
-    unmarked_nodes = set(range(n))
-    marked_vars: set[Variable] = set()
+    # Names hash faster than variables, and name a variable uniquely.
+    live = [{v.name for v in s} for s in var_sets]
+    holders: dict[str, set[int]] = defaultdict(set)
+    for i, names in enumerate(live):
+        for v in names:
+            holders[v].add(i)
+    alive = [True] * n
+    lowest = 0
+    to_test = list(range(n))
     edges: list[tuple[int, int]] = []
-
-    def live(i: int) -> frozenset[Variable]:
-        return var_sets[i] - marked_vars
-
+    lonely = list(holders)   # the first round may mark any variable
     while True:
-        changed = False
-        # (a) absorb one node whose live variables are covered by another.
-        for i in sorted(unmarked_nodes):
-            absorber = None
-            for j in sorted(unmarked_nodes):
-                if i != j and live(i) <= live(j):
-                    absorber = j
-                    break
-            if absorber is not None:
-                edges.append((i, absorber))
-                unmarked_nodes.remove(i)
-                changed = True
-                break
-        # (b) mark variables occurring in exactly one unmarked node.
-        counts: dict[Variable, int] = {}
-        for i in unmarked_nodes:
-            for v in live(i):
-                counts[v] = counts.get(v, 0) + 1
-        for v, c in counts.items():
-            if c == 1:
-                marked_vars.add(v)
-                changed = True
-        if not changed:
-            break
-
-    if len(unmarked_nodes) == 1:
-        return JoinTree(payloads, var_sets, tuple(edges))
-    return None
+        # (a) absorb the lowest absorbable node into its lowest absorber.
+        j = None
+        while to_test and j is None:
+            i = heappop(to_test)
+            if not alive[i]:
+                continue
+            mine = live[i]
+            if mine:
+                rarest = min([holders[v] for v in mine], key=len)
+                found = [k for k in rarest if k != i and mine <= live[k]]
+                j = min(found) if found else None
+            else:
+                # An empty live set is covered by every other node.
+                j = next((k for k in range(lowest, n) if alive[k] and k != i), None)
+        if j is not None:
+            edges.append((i, j))
+            if len(edges) == n - 1:
+                return JoinTree(payloads, var_sets, tuple(edges))
+            alive[i] = False
+            while not alive[lowest]:
+                lowest += 1
+            for v in live[i]:
+                holders[v].discard(i)
+            if lonely is None:
+                lonely = live[i]
+        elif lonely is None:
+            return None
+        # (b) mark the variables that one live node holds.
+        for v in lonely:
+            h = holders[v]
+            if len(h) == 1:
+                (k,) = h
+                del holders[v]
+                live[k].discard(v)
+                heappush(to_test, k)
+        lonely = None
 
 
 def verify_join_tree(tree: JoinTree) -> bool:
-    """Check tree-ness plus the path-connectedness condition for every variable."""
+    """Check tree-ness plus the path-connectedness condition for every variable.
+
+    In a tree the nodes holding x induce a forest, connected iff it has one
+    edge fewer than nodes: count both per variable.
+    """
     n = len(tree.nodes)
     if len(tree.edges) != n - 1:
         return False
@@ -538,21 +549,8 @@ def verify_join_tree(tree: JoinTree) -> bool:
                 stack.append(w)
     if len(seen) != n:
         return False
-    all_vars = set().union(*tree.var_sets) if tree.var_sets else set()
-    for x in all_vars:
-        holders = [i for i in range(n) if x in tree.var_sets[i]]
-        if len(holders) <= 1:
-            continue
-        # Occurrences of x must induce a connected subgraph.
-        comp = {holders[0]}
-        stack = [holders[0]]
-        hold = set(holders)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in hold and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != hold:
-            return False
-    return True
+    components = Counter(x.name for s in tree.var_sets for x in s)
+    for a, b in tree.edges:
+        for x in tree.var_sets[a] & tree.var_sets[b]:
+            components[x.name] -= 1
+    return all(c == 1 for c in components.values())

@@ -3,6 +3,7 @@ per-atom constrained decomposition, and final join-tree assembly."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, starmap
 from typing import Optional
 
 from .decompose import decompose_atom_with_constraints, is_acyclic_pattern, terminal_free_core
@@ -188,20 +189,27 @@ def weak_join_tree(nq: NormalizedQuery) -> Optional[JoinTree]:
 
 def cyclicity_prechecks(nq: NormalizedQuery, weak: Optional[JoinTree]) -> Optional[str]:
     """Reasons the query is definitely cyclic by rules 1, 3 and 4, or None;
-    ``plan`` decides rule 2 (a cyclic right side) by each atom's search."""
+    ``plan`` decides rule 2 (a cyclic right side) by each atom's search.
+
+    Atoms on the weak-tree path between two atoms hold all they share, so an
+    offending pair has an offending edge: only then are all pairs scanned.
+    """
     if weak is None:
         return "rule 1: no weak join tree exists"
     eqs = nq.query.equations
-    for i in range(len(eqs)):
-        for j in range(i + 1, len(eqs)):
-            shared = ({v for v in eqs[i].variables() if not v.is_universe}
-                      & {v for v in eqs[j].variables() if not v.is_universe})
-            if len(shared) > 3:
-                return (f"rule 3: atoms {i} and {j} share {len(shared)} variables "
-                        f"({', '.join(sorted(v.name for v in shared))})")
-            if len(shared) == 3 and (eqs[i].size() > 3 or eqs[j].size() > 3):
-                return f"rule 4: atoms {i} and {j} share 3 variables but one is longer than an atom"
-    return None
+
+    def offends(i: int, j: int) -> Optional[str]:
+        shared = weak.var_sets[i] & weak.var_sets[j]
+        if len(shared) > 3:
+            return (f"rule 3: atoms {i} and {j} share {len(shared)} variables "
+                    f"({', '.join(sorted(v.name for v in shared))})")
+        if len(shared) == 3 and (eqs[i].size() > 3 or eqs[j].size() > 3):
+            return f"rule 4: atoms {i} and {j} share 3 variables but one is longer than an atom"
+        return None
+
+    if not any(starmap(offends, weak.edges)):
+        return None
+    return next(filter(None, starmap(offends, combinations(range(len(eqs)), 2))))
 
 
 # --- the full plan ---------------------------------------------------------------

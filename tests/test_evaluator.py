@@ -15,7 +15,6 @@ from wordeq.evaluator import (
     check_universality,
     enumerate_results,
     full_reduction,
-    join_tree_for,
     materialize_atom,
     model_check,
     semijoin,
@@ -29,6 +28,7 @@ from wordeq.model import (
     RegularConstraint,
     SmallEquation,
     UNIVERSE,
+    gyo,
 )
 from wordeq.nfa import thompson
 from wordeq.oracle import brute_evaluate, check_k_ambiguous_bounded
@@ -523,7 +523,7 @@ class TestJoinTreeFor:
         from conftest import pat
         two = k_ary_local_decomposition(pat("x1 x2 x3 x4 x2 x4 x1 x2 x5 x5 x1 x2"), 4)
         assert two is not None
-        tree = join_tree_for(two)
+        tree = gyo([(eq, eq.variables()) for eq in two.equations])
         assert tree is not None
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from conftest import AB, all_words, random_fccq, v
+from conftest import AB, all_words, random_fccq, random_fccq_wide, v
 from wordeq.decompose import decompose_bracketing
 from wordeq.evaluator import enumerate_results, model_check
 from wordeq.frontend import parse_query
@@ -440,3 +441,78 @@ class TestPrefactor:
         q2 = prefactor_common_subpatterns(q)
         for w in ["", "a", "ab", "aab"]:
             assert brute_evaluate(q, w) == brute_evaluate(q2, w)
+
+
+def _tree_query(rng: random.Random, atoms: int, reuse: float) -> str:
+    """A concatenation tree of `atoms` equations under `u`; with reuse > 0
+    some right-hand slots name an earlier variable, which may make the query
+    cyclic or break rules 3 and 4."""
+    count = 0
+    frontier, used, eqs = ["u"], [], []
+    for _ in range(atoms):
+        lhs = frontier.pop(rng.randrange(len(frontier))) if frontier else rng.choice(used)
+        rhs = []
+        for _ in range(rng.choice((2, 2, 3, 4))):
+            if used and rng.random() < reuse:
+                rhs.append(rng.choice(used))
+            else:
+                count += 1
+                used.append(f"x{count}")
+                frontier.append(f"x{count}")
+                rhs.append(f"x{count}")
+        if rng.random() < 0.15:
+            rhs.insert(rng.randrange(len(rhs) + 1), "'a'")
+        eqs.append(f"{lhs} = {'.'.join(rhs)}")
+    return f"ans({','.join(used[:2])}) :- " + ", ".join(eqs)
+
+
+def golden_plan_queries() -> list[FcCq]:
+    """The multi-atom queries whose plan output `TestGoldenPlans` pins."""
+    fixtures = [
+        "x = y2.y3.y4.y5, z = y5.y4.y3.y2",
+        "x1 = y1.y2.y3, x2 = y1.y4.y3, x = a2.a3.a4.a5, z = a5.a4.a3.a2",
+        "x1 = y1.y2.y3.y4, x2 = y1.y2.y3.y5",
+        "x1 = y1.y2.y3, x2 = y1.y2.y3.y5",
+        "x1 = y1.y2.y3, x2 = y1.y4.y3",
+        "x = p.q, y = q.r, z = r.p",
+        "x1 = x2.x3.x2, x2 = x4.x4.x5",
+        "x1 = y1.y2.y3, x2 = y2.y3.y3.y4",
+        # Atoms 0 and 1 share four variables, but the weak tree joins each
+        # of them to atom 2 only: the first offending pair is not an edge.
+        "x0 = a.b.c.d.e, x1 = a.b.c.d.f, x2 = a.b.c.d.e.f",
+        # The same with three shared variables and atoms longer than three.
+        "x0 = a.b.c.e.g, x1 = a.b.c.f.h, x2 = a.b.c.e.f.g.h",
+    ]
+    queries = [parse_query(f"ans() :- {text}", AB) for text in fixtures]
+    rng = random.Random(2024)
+    while len(queries) < 300:
+        roll = len(queries) % 3
+        if roll == 0:
+            q = random_fccq(rng, max_atoms=8, var_pool=("x", "y", "z", "v", "w", "t"))
+        elif roll == 1:
+            q = random_fccq_wide(rng)
+        else:
+            q = parse_query(_tree_query(rng, rng.randint(2, 24), rng.choice((0.0, 0.1, 0.3))), AB)
+        if len(q.equations) >= 2:
+            queries.append(q)
+    return queries
+
+
+class TestGoldenPlans:
+    # sha256 of the text below as printed by the planner whose
+    # mark-and-absorb rescanned every pair of nodes each round; faster
+    # bookkeeping must print it unchanged.
+    DIGEST = "12ea732c7a3f471601b505fc903a836c4c72a23e1fd1a648ec4111ef5cbd2c37"
+
+    def test_plan_outputs_unchanged(self):
+        parts = []
+        for k, q in enumerate(golden_plan_queries()):
+            try:
+                p = plan(q)
+            except CyclicQueryError as exc:
+                parts.append(f"{k}: {exc.stage}: {exc.detail}")
+                continue
+            edges = " ".join(f"{a}-{b}" for a, b in skeleton_of(p).edges)
+            parts.append(f"{k}:\n{p.explain()}\nskeleton edges: {edges}")
+        text = "\n".join(parts) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
