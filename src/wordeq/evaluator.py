@@ -2,6 +2,15 @@
 the plan's join tree, and the enumeration phase, a walk that looks rows up in
 per-node indexes (Yannakakis 1981, "Algorithms for acyclic database schemes").
 
+Each node's relation is generated already projected onto the variables it
+keeps: the head (none for `check`) and those it shares with a join-tree
+neighbour, the only ones a semi-join or the walk reads.  A binary equation
+that keeps at most one of its variables is generated without its cuts: a
+kept left side is every factor with a cut, a kept right side with a free
+left side is every factor (`x = x.epsilon`), a grounded `u = x.y` keeps the
+n + 1 prefixes as x, and with nothing kept the relation is `{()}`.  So
+`check` of `x = y.z` builds one row, not ~n^3/6.
+
 Relations are generated from the join tree's most selective node outward, in
 BFS order: each child only for the ids its parent's rows allow, then
 semi-joined with the parent, so dangling tuples are mostly never built."""
@@ -21,7 +30,6 @@ from .model import (
     JoinTree,
     RegularConstraint,
     SmallEquation,
-    TwoFcCq,
     Variable,
 )
 from .oracle import brute_evaluate
@@ -57,29 +65,18 @@ class ResultTuple:
         return out
 
 
-def _project_positions(positions: list[Variable]) -> tuple[tuple[Variable, ...], list[Optional[int]]]:
-    """Schema of the distinct non-universe variables plus, per position,
-    either its schema slot or None for universe positions."""
-    schema: list[Variable] = []
-    slots: list[Optional[int]] = []
-    for v in positions:
-        if v.is_universe:
-            slots.append(None)
-        else:
-            if v not in schema:
-                schema.append(v)
-            slots.append(schema.index(v))
-    return tuple(schema), slots
+def _values(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A row's values at `positions`, as a tuple for any number of them."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _rows_from_tuples(positions: list[Variable], wid: int,
-                      tuples: Iterable[tuple[int, ...]]) -> Relation:
-    schema, slots = _project_positions(positions)
-    if len(schema) == len(slots):
-        # Every position is its own variable: the tuples are the rows.
-        return Relation(schema, frozenset(tuples))
-    rows: set[tuple[int, ...]] = set()
-    width = len(schema)
+def _consistent(slots: list[Optional[int]], width: int, wid: int,
+                tuples: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The tuples whose universe positions hold the word and whose repeated
+    variables agree, as rows over the distinct variables."""
     for tup in tuples:
         out: list[Optional[int]] = [None] * width
         ok = True
@@ -94,8 +91,20 @@ def _rows_from_tuples(positions: list[Variable], wid: int,
                 ok = False
                 break
         if ok:
-            rows.add(tuple(out))  # type: ignore[arg-type]
-    return Relation(schema, frozenset(rows))
+            yield tuple(out)  # type: ignore[arg-type]
+
+
+def _rows_from_tuples(positions: list[Variable], wid: int, tuples: Iterable[tuple[int, ...]],
+                      keep: Optional[AbstractSet[Variable]]) -> Relation:
+    """The relation of tuples over `positions`, projected onto `keep`."""
+    schema = tuple(dict.fromkeys(x for x in positions if not x.is_universe))
+    slots = [None if x.is_universe else schema.index(x) for x in positions]
+    if len(schema) < len(slots):
+        tuples = _consistent(slots, len(schema), wid, tuples)
+    cols = [i for i, x in enumerate(schema) if keep is None or x in keep]
+    if len(cols) == len(schema):
+        return Relation(schema, frozenset(tuples))
+    return Relation(tuple(schema[i] for i in cols), frozenset(map(_values(cols), tuples)))
 
 
 def _prefix_walk(table: list[list[int]], xs: AbstractSet[int],
@@ -123,8 +132,47 @@ def _suffix_walk(table: list[list[int]], ys: AbstractSet[int],
                     yield at[end - s], at[p - s], y
 
 
+def _uncut(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
+           keep: AbstractSet[Variable]) -> Optional[Relation]:
+    """The projection of `z = x.y` (x and y not u, z not among them) onto
+    `keep` when it needs no cut of any factor, else None."""
+    if not (isinstance(atom, SmallEquation) and len(atom.rhs) == 2):
+        return None
+    z, (x, y) = atom.lhs, atom.rhs
+    if x.is_universe or y.is_universe or z in atom.rhs:
+        return None
+    kept = [t for t in dict.fromkeys((z, x, y)) if t in keep and not t.is_universe]
+    square = x == y
+    if not kept:
+        # epsilon satisfies z = x.y, and x = w, y = epsilon satisfies u = x.y;
+        # u = x.x holds only on squares.
+        if z.is_universe and square:
+            return None
+        return Relation((), frozenset({()} if all(allowed.values()) else ()))
+    if len(kept) > 1:
+        return None
+    (t,) = kept
+    ids = allowed.get(t)
+    if t == z:
+        # Every factor has a cut; a square only the middle one.
+        ids = ix.all_factor_ids() if ids is None else ids
+        return Relation((z,), frozenset(zip(
+            [f for f in ids if ix.square_root(f) is not None] if square else ids)))
+    if square:
+        return None         # y of z = y.y: only the ys whose square occurs
+    if not z.is_universe:
+        # z = x.epsilon or z = epsilon.y: every factor.
+        return Relation((t,), frozenset(zip(ix.all_factor_ids() if ids is None else ids)))
+    if t == y:
+        return None         # the suffixes' leftmost starts take a Z-function pass
+    # The prefix of length k is its own leftmost occurrence, id k.
+    prefixes = range(ix.n + 1)
+    return Relation((x,), frozenset(zip(prefixes if ids is None else [k for k in prefixes if k in ids])))
+
+
 def materialize_atom(ix: WordIndex, atom,
-                     allowed: Optional[dict[Variable, AbstractSet[int]]] = None) -> Relation:
+                     allowed: Optional[dict[Variable, AbstractSet[int]]] = None,
+                     keep: Optional[AbstractSet[Variable]] = None) -> Relation:
     """Relation of one atom: concatenation splits (squares cut only at the
     middle), the copy diagonal, or the factors a regex accepts.  Universe
     positions are pre-bound to the word.
@@ -132,14 +180,19 @@ def materialize_atom(ix: WordIndex, atom,
     `allowed` maps variables to the ids a neighbour's rows allow them.  The
     relation then keeps every row inside it and may omit rows outside it:
     only allowed left sides are cut, and with a free left side the table is
-    walked from the allowed occurrences of one right-side variable."""
+    walked from the allowed occurrences of one right-side variable.
+
+    With `keep`, the relation is projected onto those of its variables."""
     allowed = allowed or {}
+    uncut = None if keep is None else _uncut(ix, atom, allowed, keep)
+    if uncut is not None:
+        return uncut
     wid = ix.whole_word_id()
     if isinstance(atom, RegularConstraint):
         if atom.var.is_universe:
             return Relation((), frozenset({()} if ix.regex_members(atom.regex, {wid}) else set()))
         members = ix.regex_members(atom.regex, allowed.get(atom.var))
-        return Relation((atom.var,), frozenset((m,) for m in members))
+        return _rows_from_tuples([atom.var], wid, zip(members), keep)
 
     assert isinstance(atom, SmallEquation)
     positions = [atom.lhs, *atom.rhs]
@@ -147,11 +200,11 @@ def materialize_atom(ix: WordIndex, atom,
     zs = allowed.get(atom.lhs)
     if parts == 1:
         if atom.lhs.is_universe or atom.rhs[0].is_universe:
-            return _rows_from_tuples(positions, wid, [(wid, wid)])
+            return _rows_from_tuples(positions, wid, [(wid, wid)], keep)
         if zs is None:
             zs = allowed.get(atom.rhs[0])
         return _rows_from_tuples(positions, wid, ((f, f) for f in (
-            ix.all_factor_ids() if zs is None else zs)))
+            ix.all_factor_ids() if zs is None else zs)), keep)
     square = parts == 2 and atom.rhs[0] == atom.rhs[1]
     if square:
         def cuts(z: int) -> Iterable[tuple[int, ...]]:
@@ -163,16 +216,16 @@ def materialize_atom(ix: WordIndex, atom,
             return ix.splits(z, parts)
     if atom.lhs.is_universe:
         # The left side is the word itself: the rows are its cuts.
-        return _rows_from_tuples(positions[1:], wid, cuts(wid))
+        return _rows_from_tuples(positions[1:], wid, cuts(wid), keep)
     table = ix.factor_table()
     if zs is None and parts == 2 and not square and not any(x.is_universe for x in atom.rhs):
         for side, walk in zip(atom.rhs, (_prefix_walk, _suffix_walk)):
             ids = allowed.get(side)
             if ids is not None:
                 lengths = {end - start for start, end in map(ix.occurrence, ids)}
-                return _rows_from_tuples(positions, wid, walk(table, ids, lengths))
+                return _rows_from_tuples(positions, wid, walk(table, ids, lengths), keep)
     tuples = ((z, *cut) for z in (ix.all_factor_ids() if zs is None else zs) for cut in cuts(z))
-    return _rows_from_tuples(positions, wid, tuples)
+    return _rows_from_tuples(positions, wid, tuples, keep)
 
 
 def semijoin(r: Relation, s: Relation) -> Relation:
@@ -204,30 +257,31 @@ def _orientation(tree: JoinTree, root: int = 0) -> tuple[list[int], list[list[in
     return order, children, parent
 
 
-def _root(tree: JoinTree, ix: WordIndex, sized: dict[int, Relation]) -> int:
+def _root(tree: JoinTree, ix: WordIndex, sized: dict[int, Relation],
+          keeps: list[set[Variable]]) -> int:
     """The most selective node: the first grounded equation, else the regular
     constraint with the fewest members, else node 0.  The constraints sized
-    here keep their relations in `sized`, so no regex runs twice.  With no
-    grounded equation, the equations will build the factor table anyway, so
-    it is built first and the regexes read ids from it."""
+    here keep their relations in `sized`, so no regex runs twice."""
     for i, node in enumerate(tree.nodes):
         if isinstance(node, SmallEquation) and node.lhs.is_universe:
             return i
-    if any(isinstance(node, SmallEquation) for node in tree.nodes):
-        ix.factor_table()
     for i, node in enumerate(tree.nodes):
         if isinstance(node, RegularConstraint) and not node.var.is_universe:
-            sized[i] = materialize_atom(ix, node)
+            sized[i] = materialize_atom(ix, node, keep=keeps[i])
     return min(sized, key=lambda i: len(sized[i].rows), default=0)
 
 
-def _materialize_tree(tree: JoinTree, ix: WordIndex
+def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
                       ) -> tuple[list[Relation], list[int], list[list[int]], list[Optional[int]]]:
-    """Relations in BFS order from the most selective node, each child
-    generated only for the ids its parent's relation allows and then
-    semi-joined with it; with the tree's orientation from that root."""
+    """Relations in BFS order from the most selective node, each projected
+    onto `head` and the variables it shares with a join-tree neighbour (sound
+    by the join-tree property: a variable two nodes share is kept on the path
+    between them), generated only for the ids its parent's relation allows
+    and then semi-joined with it; with the tree's orientation from that root."""
+    adj = tree.adjacency()
+    keeps = [set(head).union(*(tree.var_sets[w] for w in adj[v])) for v in range(len(tree.nodes))]
     sized: dict[int, Relation] = {}
-    order, children, parent = _orientation(tree, _root(tree, ix, sized))
+    order, children, parent = _orientation(tree, _root(tree, ix, sized, keeps))
     rels: list[Relation] = [None] * len(tree.nodes)  # type: ignore[list-item]
     for v in order:
         p = parent[v]
@@ -239,7 +293,7 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex
             allowed = None if p is None or grounded else {
                 x: {row[i] for row in rels[p].rows}
                 for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
-            rel = materialize_atom(ix, node, allowed)
+            rel = materialize_atom(ix, node, allowed, keeps[v])
         rels[v] = rel if p is None else semijoin(rel, rels[p])
     return rels, order, children, parent
 
@@ -259,25 +313,17 @@ def _top_down(rels: list[Relation], order: list[int], parent: list[Optional[int]
 
 def model_check(plan: Plan, ix: WordIndex) -> bool:
     """Bottom-up semi-join pass; true iff the root keeps at least one tuple."""
-    rels, order, children, _ = _materialize_tree(plan.tree, ix)
+    rels, order, children, _ = _materialize_tree(plan.tree, ix, ())
     _bottom_up(rels, order, children)
     return bool(rels[order[0]].rows)
 
 
 def full_reduction(plan: Plan, ix: WordIndex) -> list[Relation]:
     """Bottom-up then top-down semi-joins: no dangling tuples remain."""
-    rels, order, children, parent = _materialize_tree(plan.tree, ix)
+    rels, order, children, parent = _materialize_tree(plan.tree, ix, plan.query.head)
     _bottom_up(rels, order, children)
     _top_down(rels, order, parent)
     return rels
-
-
-def _values(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """A row's values at `positions`, as a tuple for any number of them."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda row: (row[i],)
-    return itemgetter(*positions) if positions else lambda row: ()
 
 
 # Module-level, not a closure: a closure that calls itself is a reference cycle.
@@ -291,28 +337,26 @@ def _walk(steps: list, at: int, binding: tuple[int, ...]) -> Iterator[tuple[int,
 
 
 def enumerate_results(plan: Plan, ix: WordIndex) -> Iterator[ResultTuple]:
-    """Yannakakis' enumeration phase.  Each fully reduced relation is
+    """Yannakakis' enumeration phase.  Each fully reduced relation, already
     projected onto the head and the variables it shares with a join-tree
-    neighbour (sound, as no dangling rows are left), indexed, in BFS order
-    from node 0, on those it shares with its parent (a row kept whole is
-    stored as it is), and freed.  The walk extends a flat binding by the rows
-    it looks up: every lookup finds some; a node with no new variable is
-    skipped.  `seen` drops repeated answers (ids are canonical per word), the
+    neighbour, is indexed, in BFS order from node 0, on those it shares with
+    its parent (a relation with none bound is stored as it is), and freed.
+    The walk extends a flat binding by the rows it looks up: every lookup
+    finds some; a node with no new variable is skipped.  `seen` drops repeated answers (ids are canonical per word), the
     one part of the delay that is not constant: a head that is not
     free-connex, like `(x, y)` of `x = z1.z2, y = z1.z3`, repeats answers."""
     rels = full_reduction(plan, ix)
     if not all(rel.rows for rel in rels):
         return
-    head, adj = plan.query.head, plan.tree.adjacency()
+    head = plan.query.head
     slot: dict[Variable, int] = {}
     steps: list[tuple[Callable, dict]] = []
     for v in _orientation(plan.tree)[0]:
         schema = rels[v].schema
-        keep = set(head).union(*(plan.tree.var_sets[w] for w in adj[v]))
         bound = [i for i, x in enumerate(schema) if x in slot]
-        new = [i for i, x in enumerate(schema) if x in keep and x not in slot]
+        new = [i for i, x in enumerate(schema) if x not in slot]
         if new:
-            if len(new) == len(schema):  # nothing bound or dropped: the rows are the values
+            if not bound:  # the rows are the values
                 index: dict = {(): rels[v].rows}
             else:
                 key, value, index = _values(bound), _values(new), {}

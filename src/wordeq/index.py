@@ -20,8 +20,9 @@ its join tree at the first grounded equation, else at the regular constraint
 with the fewest members, else at node 0, and passes each constraint below the
 root the ids its parent allows.  So a constraint on `u` is one run over the
 word, and one on the prefixes of the word (`u = x.y, x in /a*b/`) is one run
-from offset 0 that stops where the DFA dies; only a constraint sized for the
-root choice runs from every start, O(n^2) steps.
+from offset 0 that stops where the DFA dies.  With no `among` (a constraint
+sized for the root choice) the DFA runs from every start, O(n^2) steps, and
+reads each accepted span's id from the factor table.
 
 `factor_table()` builds the table of every span: `table[i][k]` is the id of
 `w[i:i+k]` (0-based).  A trie over (parent id, letter) visits the spans in
@@ -33,14 +34,16 @@ is two list reads.
 Relations of non-grounded equations read it: a left side restricted to m
 factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side with one
 right side restricted to ids of k distinct lengths walks the table from
-their occurrences, O(n^2 k); a concatenation nothing restricts (the root of
-its join tree) still costs every cut of every factor, ~n^3/6.
+their occurrences, O(n^2 k).  The evaluator asks for the cuts only of an atom
+that keeps two or more of its variables; one that keeps at most one lists
+factors, O(n^2), and so does not call `splits` at all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import AbstractSet, Iterable, Iterator, Optional
+from itertools import combinations_with_replacement, repeat
+from operator import floordiv
+from typing import AbstractSet, Iterable, Optional
 
 from .model import Alphabet, InvalidSpanError, RegexAst
 from .nfa import thompson
@@ -163,9 +166,6 @@ class WordIndex:
     def whole_word_id(self) -> int:
         return self.n
 
-    def factor_count(self) -> int:
-        return len(self.all_factor_ids())
-
     def factor_table(self) -> list[list[int]]:
         """`table[i][k]` is the id of w[i:i+k], built on first use; callers
         must not modify it."""
@@ -202,10 +202,6 @@ class WordIndex:
 
     # -- concatenation ----------------------------------------------------------
 
-    def concat_id(self, a: int, b: int) -> Optional[int]:
-        """Id of word(a)+word(b) when that word occurs in w, else None."""
-        return self.id_of_word(self.word_of(a) + self.word_of(b))
-
     def splits(self, fid: int, parts: int) -> Iterable[tuple[int, ...]]:
         """Every way to write factor `fid` as a concatenation of `parts`
         factors, as id tuples.  Each cut of its canonical occurrence gives
@@ -235,34 +231,32 @@ class WordIndex:
         root = self.factor_at(start, half)
         return root if root == self.factor_at(half, end) else None
 
-    def enumerate_concat_triples(self) -> Iterator[tuple[int, int, int]]:
-        """All (z, x, y) over distinct factors with word(z) = word(x)+word(y);
-        there are no duplicates (see `splits`)."""
-        for z in self.all_factor_ids():
-            for x, y in self.splits(z, 2):
-                yield z, x, y
-
     # -- regex membership ---------------------------------------------------------
 
     def regex_members(self, regex: RegexAst, among: Optional[AbstractSet[int]] = None) -> set[int]:
         """Ids of exactly those distinct factors the regex accepts; with
         `among`, only those among the given ids.  The NFA runs as a lazy DFA,
-        each (state set, letter) step taken once: from every start, or with
-        `among` only from the starts of its ids, up to their farthest end."""
+        each (state set, letter) step taken once: from every start, reading
+        ids from the factor table, or with `among` only from the starts of
+        its ids, up to their farthest end."""
         nfa = thompson(regex)
         initial = nfa.initial()
         moves: dict[tuple[frozenset[int], str], frozenset[int]] = {}
         out: set[int] = set()
         word, n, stride, accept = self.word, self.n, self._stride, nfa.accept
-        farthest = {i: n for i in range(n)} if among is None else {}   # start -> end
-        for fid in among or ():
-            start, length = divmod(fid, stride)
-            if farthest.get(start, 0) < start + length:
-                farthest[start] = start + length
+        if among is None:
+            table = self.factor_table()
+            farthest = dict.fromkeys(range(n), n)           # start -> end
+        else:
+            # In sorted order the last key of a start is its longest; the dict keeps it.
+            keys = sorted(among)
+            longest = dict(zip(map(floordiv, keys, repeat(stride)), keys))
+            farthest = {i: last - i * n for i, last in longest.items()}
         if accept in initial and (among is None or EPSILON_ID in among):
             out.add(EPSILON_ID)
         for i, end in farthest.items():
             key = i * n                     # + j + 1: the key of w[i:j+1]
+            row = table[i] if among is None else None
             states = initial
             for j in range(i, end):
                 move = (states, word[j])
@@ -272,8 +266,8 @@ class WordIndex:
                 if not states:
                     break
                 if accept in states:
-                    if among is None:
-                        out.add(self.factor_at(i, j + 1))
+                    if row is not None:
+                        out.add(row[j + 1 - i])
                     elif key + j + 1 in among:
                         out.add(key + j + 1)
         return out

@@ -12,7 +12,6 @@ from itertools import islice
 from typing import Iterator
 
 from .model import (
-    Alphabet,
     BLeaf,
     BNode,
     Bracketing,
@@ -142,20 +141,6 @@ def _brute_answers(q: FcCq, w: str) -> Iterator[tuple[str, ...]]:
                 del cur[eq.lhs]
 
     return solve(0, {})
-
-
-def check_k_ambiguous_bounded(q: FcCq, k: int, max_len: int, alphabet: Alphabet) -> bool:
-    """No word of length <= max_len yields more than k head assignments.
-
-    A bounded refutation search: True means no counterexample up to the bound.
-    """
-    words = [""]
-    for w in words:
-        if len(brute_evaluate(q, w)) > k:
-            return False
-        if len(w) < max_len:
-            words.extend(w + a for a in alphabet)
-    return True
 
 
 def _resolve_universe(p: Pattern, w: str) -> Pattern:

@@ -45,6 +45,25 @@ def _shown(p: Pattern) -> str:
     return ".".join(it.name if isinstance(it, Variable) else repr(it) for it in p) or "''"
 
 
+def _implied_copy(equations: list[WordEquation]) -> Optional[int]:
+    """Index of the first copy `x = y` whose sides earlier copies already
+    equate, else None."""
+    root: dict[Variable, Variable] = {}
+
+    def find(x: Variable) -> Variable:
+        while x in root:
+            x = root[x]
+        return x
+
+    for idx, eq in enumerate(equations):
+        if len(eq.rhs) == 1:
+            a, b = find(eq.lhs), find(eq.rhs[0])  # type: ignore[arg-type]
+            if a == b:
+                return idx
+            root[a] = b
+    return None
+
+
 def normalize(q: FcCq) -> NormalizedQuery:
     """Rewrite to normalized form; the result is equivalent on all words."""
     fresh = FreshVars(v.name for v in q.variables() | set(q.head))
@@ -121,6 +140,12 @@ def normalize(q: FcCq) -> NormalizedQuery:
             if first.lhs == eq.lhs:
                 equations.pop(idx)
                 trace.append(f"dropped duplicate atom {eq.lhs} = {_shown(eq.rhs)}")
+            elif len(key) == 1 and (cycle := _implied_copy(equations)) is not None:
+                # A copy closing a cycle of copies is implied by the others;
+                # left in, copies would be passed round the cycle forever.
+                implied = equations.pop(cycle)
+                trace.append(f"dropped copy {implied.lhs} = {_shown(implied.rhs)}, "
+                             f"implied by other copies")
             else:
                 equations[idx] = WordEquation(eq.lhs, (first.lhs,))
                 trace.append(f"{eq.lhs} = {_shown(eq.rhs)} duplicates {first.lhs}; now a copy")

@@ -71,6 +71,15 @@ class TestCheck:
         code, _, _ = run(capsys, "check", q, w, "--oracle")
         assert code == 0
 
+    @pytest.mark.parametrize("word", ["", "a", "ab", "abba", "babab"])
+    def test_cycle_of_copies(self, files, capsys, word):
+        """Copies that form a cycle, z = x = z, plan (one of them is implied)
+        and hold on every word, the oracle agreeing."""
+        q = files("q.fcq", "ans() :- z = x, x = z, u = z")
+        w = files("w.txt", word)
+        code, out, err = run(capsys, "check", q, w, "--oracle")
+        assert (code, out, err) == (0, "true\n", "")
+
     def test_explain(self, files, capsys):
         q = files("q.fcq", "ans() :- u = x.y")
         w = files("w.txt", "ab")

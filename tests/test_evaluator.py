@@ -3,7 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +31,7 @@ from wordeq.model import (
     gyo,
 )
 from wordeq.nfa import thompson
-from wordeq.oracle import brute_evaluate, check_k_ambiguous_bounded
+from wordeq.oracle import brute_evaluate
 from wordeq.planner import plan
 
 
@@ -150,6 +150,18 @@ def within(rel: Relation, allowed: dict) -> Relation:
     return rel
 
 
+def project(rel: Relation, keep) -> Relation:
+    """rel cut down to the columns of the variables in `keep`."""
+    cols = [i for i, x in enumerate(rel.schema) if x in keep]
+    return Relation(tuple(rel.schema[i] for i in cols),
+                    frozenset(tuple(row[i] for i in cols) for row in rel.rows))
+
+
+def atom_variables(atom) -> list:
+    return sorted((atom.variables() if isinstance(atom, SmallEquation) else {atom.var})
+                  - {UNIVERSE}, key=str)
+
+
 JOIN = "ans(x,y) :- x = z1.z2, y = z1.z3, x in /a(a|b)*/, z1 in /a+/"
 
 
@@ -165,8 +177,7 @@ class TestRestrictedMaterialize:
                 ix = build_index(w)
                 full = materialize_atom(ix, atom)
                 ids = ix.all_factor_ids()
-                names = sorted((atom.variables() if isinstance(atom, SmallEquation) else {atom.var})
-                               - {UNIVERSE}, key=str)
+                names = atom_variables(atom)
                 for mask in range(1 << len(names)):
                     allowed = {x: set(rng.sample(ids, rng.randint(0, len(ids))))
                                for k, x in enumerate(names) if mask >> k & 1}
@@ -193,8 +204,10 @@ class TestRestrictedMaterialize:
         assert rel.rows and rel == within(rel, allowed)
 
     def test_each_relation_is_its_full_one_cut_by_the_parent(self):
-        """The root keeps its full relation; every other node holds its full
-        relation semi-joined with its parent's."""
+        """Each node holds its full relation projected onto the variables it
+        keeps, the head and those it shares with a join-tree neighbour: the
+        root that projection, every other node it semi-joined with its
+        parent's relation."""
         from wordeq.evaluator import _materialize_tree
         rng = random.Random(23)
         done = 0
@@ -205,11 +218,13 @@ class TestRestrictedMaterialize:
             except CyclicQueryError:
                 continue
             done += 1
-            for w in ("", "ab", "aab", "abab"):
+            adj = p.tree.adjacency()
+            for w, head in product(("", "ab", "aab", "abab"), ((), p.query.head)):
                 ix = build_index(w)
-                rels, order, _, parent = _materialize_tree(p.tree, ix)
+                rels, order, _, parent = _materialize_tree(p.tree, ix, head)
                 for node in order:
-                    full = materialize_atom(ix, p.tree.nodes[node])
+                    keep = set(head).union(*(p.tree.var_sets[k] for k in adj[node]))
+                    full = project(materialize_atom(ix, p.tree.nodes[node]), keep)
                     up = parent[node]
                     assert rels[node] == (full if up is None else semijoin(full, rels[up])), (q, w)
 
@@ -217,10 +232,10 @@ class TestRestrictedMaterialize:
         from wordeq.evaluator import _materialize_tree
         ix = build_index("aabab")
         grounded = plan(parse_query("ans(x) :- x = y.z, u = x.y, x in /a*/", ab))
-        order = _materialize_tree(grounded.tree, ix)[1]
+        order = _materialize_tree(grounded.tree, ix, ())[1]
         assert grounded.tree.nodes[order[0]].lhs.is_universe
         p = plan(parse_query(JOIN, ab))
-        order = _materialize_tree(p.tree, ix)[1]
+        order = _materialize_tree(p.tree, ix, ())[1]
         assert p.tree.nodes[order[0]].var == v("z1")   # /a+/ has fewer members than /a(a|b)*/
 
     @pytest.mark.parametrize("text, unrestricted", [
@@ -259,6 +274,85 @@ class TestRestrictedMaterialize:
         monkeypatch.setattr(evaluator, "materialize_atom", counted)
         assert model_check(plan(parse_query(JOIN, ab)), build_index(w))
         assert 0 < sum(rows) < 20 * n * n
+
+
+class TestProjectedMaterialize:
+    def test_each_projection_is_the_full_relation_projected(self, ab):
+        """With `keep`, every atom shape yields its full relation projected
+        onto the kept variables, whether generated without cuts or cut and
+        then projected.  With `allowed` as well, it lies between the
+        projection of the full rows inside the allowed ids and the projected
+        full relation, and it is exact on those rows when only kept
+        variables are restricted, as in a join tree."""
+        rng = random.Random(31)
+        atoms = reference_atoms(ab)
+        for w in all_words("ab", 6):
+            ix = build_index(w)
+            ids = ix.all_factor_ids()
+            for atom in atoms:
+                full = materialize_atom(ix, atom)
+                names = atom_variables(atom)
+                for mask in range(1 << len(names)):
+                    keep = {x for k, x in enumerate(names) if mask >> k & 1}
+                    projected = project(full, keep)
+                    assert materialize_atom(ix, atom, keep=keep) == projected, (w, atom, keep)
+                    allowed = {x: set(rng.sample(ids, rng.randint(0, len(ids))))
+                               for x in names if rng.random() < 0.5}
+                    at = (w, atom, keep, allowed)
+                    got = materialize_atom(ix, atom, allowed, keep)
+                    assert project(within(full, allowed), keep).rows <= got.rows <= projected.rows, at
+                    on_kept = {x: s for x, s in allowed.items() if x in keep}
+                    got = materialize_atom(ix, atom, on_kept, keep)
+                    assert within(got, on_kept) == within(projected, on_kept), at
+
+    @pytest.mark.parametrize("atom, keep", [
+        ("z = x.y", ""), ("z = x.y", "z"), ("z = x.y", "x"), ("z = x.y", "y"),
+        ("z = y.y", ""), ("z = y.y", "z"), ("u = x.y", ""), ("u = x.y", "x"),
+    ])
+    def test_shortcuts_cut_no_factor(self, monkeypatch, atom, keep):
+        """A binary atom that keeps at most its left side or one right-side
+        variable is generated without a cut: no split, no whole-word cuts
+        and no suffix pass."""
+        from wordeq import index
+        ix = build_index("abaababa")
+        lhs, rhs = atom.split(" = ")
+        eq = SmallEquation(v(lhs), tuple(v(x) for x in rhs.split(".")))
+        expected = project(materialize_atom(ix, eq), {v(x) for x in keep})
+
+        def cut(*args):
+            raise AssertionError("a factor was cut")
+
+        monkeypatch.setattr(index.WordIndex, "splits", cut)
+        monkeypatch.setattr(index, "leftmost_suffix_starts", cut)
+        assert materialize_atom(build_index(ix.word), eq, keep={v(x) for x in keep}) == expected
+
+    @pytest.mark.parametrize("text, enum", [
+        ("ans(x) :- x = y.z", False), ("ans(x) :- x = y.z", True), ("ans(x,y,z) :- x = y.z", False),
+    ])
+    def test_free_concatenation_rows_stay_quadratic(self, ab, monkeypatch, text, enum):
+        """`check` and `enum` of a free concatenation that keeps at most x on
+        64 letters build at most n^2/2 + 1 rows, the distinct factors, not
+        the ~n^3/6 cuts."""
+        from wordeq import evaluator
+        n = 64
+        rng = random.Random(4)
+        w = "".join(rng.choice("ab") for _ in range(n))
+        rows = []
+        original = evaluator.materialize_atom
+
+        def counted(*args, **kwargs):
+            rel = original(*args, **kwargs)
+            rows.append(len(rel.rows))
+            return rel
+
+        monkeypatch.setattr(evaluator, "materialize_atom", counted)
+        q, ix = parse_query(text, ab), build_index(w)
+        if enum:
+            answers = {r.words(ix)["x"] for r in enumerate_results(plan(q), ix)}
+            assert answers == {x for (x,) in brute_evaluate(q, w)}
+        else:
+            assert model_check(plan(q), ix)
+        assert 0 < sum(rows) <= n * n // 2 + 1
 
 
 class TestSemijoin:
@@ -499,6 +593,18 @@ class TestUniversality:
             q = type(q)((), q.equations, ())
             expected = all(brute_evaluate(q, w) for w in words)
             assert check_universality(q, AB) == expected
+
+
+def check_k_ambiguous_bounded(q, k: int, max_len: int, alphabet) -> bool:
+    """No word of length <= max_len yields more than k head assignments: a
+    bounded refutation search, True when no counterexample is found."""
+    words = [""]
+    for w in words:
+        if len(brute_evaluate(q, w)) > k:
+            return False
+        if len(w) < max_len:
+            words.extend(w + a for a in alphabet)
+    return True
 
 
 class TestKAmbiguity:

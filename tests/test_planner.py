@@ -110,6 +110,19 @@ class TestNormalize:
         assert {(eq.lhs.name, tuple(r.name for r in eq.rhs)) for eq in nq.query.equations} == \
             {("u", ("x", "y")), ("u", ("z",))}
 
+    @pytest.mark.parametrize("text", [
+        "ans() :- z = x, x = z, u = z",
+        "ans(a) :- a = b, b = c, c = a, u = a",
+        "ans(x,y) :- x = y, y = x, z = y, w = x",
+    ])
+    def test_cycle_of_copies(self, text):
+        """Copies that form a cycle normalize: the copy closing the cycle is
+        dropped as implied by the others, and the answers stay the same."""
+        nq = normalize(parse_query(text, AB))
+        assert is_normalized(nq)
+        assert any(t.endswith("implied by other copies") for t in nq.trace)
+        agrees_with_oracle(text)
+
     def test_semantic_preservation(self):
         rng = random.Random(31)
         words = all_words("ab", 6)
