@@ -2,6 +2,12 @@
 the plan's join tree, and the enumeration phase, a walk that looks rows up in
 per-node indexes (Yannakakis 1981, "Algorithms for acyclic database schemes").
 
+The planner's normal form is the contract: a node is a regular constraint, a
+copy `z = x`, a square `z = x.x` or a binary `z = x.y`, with `u` only on the
+left and the left side not on the right.  Each shape yields rows already in
+its schema; a grounded one (`u` on the left) is over its right side alone.
+`materialize_atom` raises ValueError on any other equation.
+
 Each node's relation is generated already projected onto the variables it
 keeps: the head (none for `check`) and those it shares with a join-tree
 neighbour, the only ones a semi-join or the walk reads.  A binary equation
@@ -12,8 +18,9 @@ n + 1 prefixes as x, and with nothing kept the relation is `{()}`.  So
 `check` of `x = y.z` builds one row, not ~n^3/6.
 
 Relations are generated from the join tree's most selective node outward, in
-BFS order: each child only for the ids its parent's rows allow, then
-semi-joined with the parent, so dangling tuples are mostly never built."""
+BFS order, each child only for the ids its parent's rows allow, so dangling
+tuples are mostly never built.  Then the semi-join passes reduce them:
+`model_check` runs the bottom-up pass, `full_reduction` both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -73,38 +80,13 @@ def _values(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]
     return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _consistent(slots: list[Optional[int]], width: int, wid: int,
-                tuples: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """The tuples whose universe positions hold the word and whose repeated
-    variables agree, as rows over the distinct variables."""
-    for tup in tuples:
-        out: list[Optional[int]] = [None] * width
-        ok = True
-        for value, slot in zip(tup, slots):
-            if slot is None:
-                if value != wid:
-                    ok = False
-                    break
-            elif out[slot] is None:
-                out[slot] = value
-            elif out[slot] != value:
-                ok = False
-                break
-        if ok:
-            yield tuple(out)  # type: ignore[arg-type]
-
-
-def _rows_from_tuples(positions: list[Variable], wid: int, tuples: Iterable[tuple[int, ...]],
-                      keep: Optional[AbstractSet[Variable]]) -> Relation:
-    """The relation of tuples over `positions`, projected onto `keep`."""
-    schema = tuple(dict.fromkeys(x for x in positions if not x.is_universe))
-    slots = [None if x.is_universe else schema.index(x) for x in positions]
-    if len(schema) < len(slots):
-        tuples = _consistent(slots, len(schema), wid, tuples)
+def _project(schema: tuple[Variable, ...], rows: Iterable[tuple[int, ...]],
+             keep: Optional[AbstractSet[Variable]]) -> Relation:
+    """The relation of `rows` over `schema`, projected onto `keep`."""
     cols = [i for i, x in enumerate(schema) if keep is None or x in keep]
     if len(cols) == len(schema):
-        return Relation(schema, frozenset(tuples))
-    return Relation(tuple(schema[i] for i in cols), frozenset(map(_values(cols), tuples)))
+        return Relation(schema, frozenset(rows))
+    return Relation(tuple(schema[i] for i in cols), frozenset(map(_values(cols), rows)))
 
 
 def _prefix_walk(table: list[list[int]], xs: AbstractSet[int],
@@ -134,13 +116,11 @@ def _suffix_walk(table: list[list[int]], ys: AbstractSet[int],
 
 def _uncut(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
            keep: AbstractSet[Variable]) -> Optional[Relation]:
-    """The projection of `z = x.y` (x and y not u, z not among them) onto
-    `keep` when it needs no cut of any factor, else None."""
+    """The projection of a binary `z = x.y` (x may equal y) onto `keep`
+    when it needs no cut of any factor, else None."""
     if not (isinstance(atom, SmallEquation) and len(atom.rhs) == 2):
         return None
     z, (x, y) = atom.lhs, atom.rhs
-    if x.is_universe or y.is_universe or z in atom.rhs:
-        return None
     kept = [t for t in dict.fromkeys((z, x, y)) if t in keep and not t.is_universe]
     square = x == y
     if not kept:
@@ -170,12 +150,52 @@ def _uncut(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
     return Relation((x,), frozenset(zip(prefixes if ids is None else [k for k in prefixes if k in ids])))
 
 
+def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]]
+          ) -> tuple[tuple[Variable, ...], Iterable[tuple[int, ...]]]:
+    """The schema of an atom in the planner's normal form and its rows,
+    generated inside `allowed` as `materialize_atom` describes."""
+    wid = ix.whole_word_id()
+    if isinstance(atom, RegularConstraint):
+        if atom.var.is_universe:
+            return (), [()] if ix.regex_members(atom.regex, {wid}) else []
+        return (atom.var,), zip(ix.regex_members(atom.regex, allowed.get(atom.var)))
+    z, x, y = atom.lhs, atom.rhs[0], atom.rhs[-1]
+    if len(atom.rhs) == 1:
+        if z.is_universe:
+            return (x,), [(wid,)]
+        ids = allowed.get(z, allowed.get(x))
+        return (z, x), ((f, f) for f in (ix.all_factor_ids() if ids is None else ids))
+    if z.is_universe:
+        # The left side is the word itself: its middle cut, or all its cuts.
+        if x == y:
+            root = ix.square_root(wid)
+            return (x,), [] if root is None else [(root,)]
+        return (x, y), ix.splits(wid)
+    table = ix.factor_table()
+    zs = allowed.get(z)
+    if x == y:
+        # z = x.x: only the middle cut can give equal halves.
+        roots = ((f, ix.square_root(f)) for f in (ix.all_factor_ids() if zs is None else zs))
+        return (z, x), (row for row in roots if row[1] is not None)
+    if zs is None:
+        for side, walk in ((x, _prefix_walk), (y, _suffix_walk)):
+            ids = allowed.get(side)
+            if ids is not None:
+                lengths = {end - start for start, end in map(ix.occurrence, ids)}
+                return (z, x, y), walk(table, ids, lengths)
+    return (z, x, y), ((f, *cut) for f in (ix.all_factor_ids() if zs is None else zs)
+                       for cut in ix.splits(f))
+
+
 def materialize_atom(ix: WordIndex, atom,
                      allowed: Optional[dict[Variable, AbstractSet[int]]] = None,
                      keep: Optional[AbstractSet[Variable]] = None) -> Relation:
-    """Relation of one atom: concatenation splits (squares cut only at the
-    middle), the copy diagonal, or the factors a regex accepts.  Universe
-    positions are pre-bound to the word.
+    """Relation of one atom in the planner's normal form: a regular
+    constraint (the factors it accepts), a copy `z = x` (the diagonal), a
+    square `z = x.x` (each factor cut at its middle) or a binary `z = x.y`
+    (every cut).  `u` may stand only on the left; a grounded atom's rows are
+    over its right side: `u = x` and `u = x.x` yield `(x,)`.  Any other
+    equation raises ValueError.
 
     `allowed` maps variables to the ids a neighbour's rows allow them.  The
     relation then keeps every row inside it and may omit rows outside it:
@@ -183,59 +203,26 @@ def materialize_atom(ix: WordIndex, atom,
     walked from the allowed occurrences of one right-side variable.
 
     With `keep`, the relation is projected onto those of its variables."""
+    if isinstance(atom, SmallEquation) and (
+            len(atom.rhs) > 2 or atom.lhs in atom.rhs or any(x.is_universe for x in atom.rhs)):
+        raise ValueError(f"{atom} is outside the planner's normal form: z = x or z = x.y, "
+                         "u only on the left, z not on the right")
     allowed = allowed or {}
     uncut = None if keep is None else _uncut(ix, atom, allowed, keep)
     if uncut is not None:
         return uncut
-    wid = ix.whole_word_id()
-    if isinstance(atom, RegularConstraint):
-        if atom.var.is_universe:
-            return Relation((), frozenset({()} if ix.regex_members(atom.regex, {wid}) else set()))
-        members = ix.regex_members(atom.regex, allowed.get(atom.var))
-        return _rows_from_tuples([atom.var], wid, zip(members), keep)
-
-    assert isinstance(atom, SmallEquation)
-    positions = [atom.lhs, *atom.rhs]
-    parts = len(atom.rhs)
-    zs = allowed.get(atom.lhs)
-    if parts == 1:
-        if atom.lhs.is_universe or atom.rhs[0].is_universe:
-            return _rows_from_tuples(positions, wid, [(wid, wid)], keep)
-        if zs is None:
-            zs = allowed.get(atom.rhs[0])
-        return _rows_from_tuples(positions, wid, ((f, f) for f in (
-            ix.all_factor_ids() if zs is None else zs)), keep)
-    square = parts == 2 and atom.rhs[0] == atom.rhs[1]
-    if square:
-        def cuts(z: int) -> Iterable[tuple[int, ...]]:
-            # z = y.y: only the middle cut can give equal halves.
-            root = ix.square_root(z)
-            return () if root is None else ((root, root),)
-    else:
-        def cuts(z: int) -> Iterable[tuple[int, ...]]:
-            return ix.splits(z, parts)
-    if atom.lhs.is_universe:
-        # The left side is the word itself: the rows are its cuts.
-        return _rows_from_tuples(positions[1:], wid, cuts(wid), keep)
-    table = ix.factor_table()
-    if zs is None and parts == 2 and not square and not any(x.is_universe for x in atom.rhs):
-        for side, walk in zip(atom.rhs, (_prefix_walk, _suffix_walk)):
-            ids = allowed.get(side)
-            if ids is not None:
-                lengths = {end - start for start, end in map(ix.occurrence, ids)}
-                return _rows_from_tuples(positions, wid, walk(table, ids, lengths), keep)
-    tuples = ((z, *cut) for z in (ix.all_factor_ids() if zs is None else zs) for cut in cuts(z))
-    return _rows_from_tuples(positions, wid, tuples, keep)
+    return _project(*_rows(ix, atom, allowed), keep)
 
 
 def semijoin(r: Relation, s: Relation) -> Relation:
     """Rows of r whose shared-variable projection appears in s."""
-    shared = [v for v in r.schema if v in s.schema]
+    shared = [v for v in s.schema if v in r.schema]
     if not shared:
         return r if s.rows else Relation(r.schema, frozenset())
     r_key = itemgetter(*(r.schema.index(v) for v in shared))
-    s_key = itemgetter(*(s.schema.index(v) for v in shared))
-    keys = set(map(s_key, s.rows))
+    # With two or more columns, all shared, the rows of s are the keys.
+    keys = s.rows if len(shared) == len(s.schema) > 1 else set(
+        map(itemgetter(*(s.schema.index(v) for v in shared)), s.rows))
     return Relation(r.schema, frozenset(row for row in r.rows if r_key(row) in keys))
 
 
@@ -276,25 +263,25 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
     """Relations in BFS order from the most selective node, each projected
     onto `head` and the variables it shares with a join-tree neighbour (sound
     by the join-tree property: a variable two nodes share is kept on the path
-    between them), generated only for the ids its parent's relation allows
-    and then semi-joined with it; with the tree's orientation from that root."""
+    between them) and generated only for the ids its parent's relation
+    allows; with the tree's orientation from that root.  The semi-join passes
+    remove what the generation let through."""
     adj = tree.adjacency()
     keeps = [set(head).union(*(tree.var_sets[w] for w in adj[v])) for v in range(len(tree.nodes))]
     sized: dict[int, Relation] = {}
     order, children, parent = _orientation(tree, _root(tree, ix, sized, keeps))
     rels: list[Relation] = [None] * len(tree.nodes)  # type: ignore[list-item]
     for v in order:
-        p = parent[v]
-        rel = sized.get(v)
-        if rel is None:
-            node = tree.nodes[v]
-            # A grounded equation's rows are the word's cuts whatever its parent allows.
-            grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
-            allowed = None if p is None or grounded else {
-                x: {row[i] for row in rels[p].rows}
-                for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
-            rel = materialize_atom(ix, node, allowed, keeps[v])
-        rels[v] = rel if p is None else semijoin(rel, rels[p])
+        if v in sized:
+            rels[v] = sized[v]
+            continue
+        p, node = parent[v], tree.nodes[v]
+        # A grounded equation's rows are the word's cuts whatever its parent allows.
+        grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
+        allowed = None if p is None or grounded else {
+            x: {row[i] for row in rels[p].rows}
+            for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
+        rels[v] = materialize_atom(ix, node, allowed, keeps[v])
     return rels, order, children, parent
 
 

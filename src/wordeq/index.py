@@ -8,8 +8,9 @@ ids: `occurrence` is one `divmod`, epsilon is 0, the whole word is n.
 The prefix of length k is its own leftmost occurrence, id k, and the leftmost
 start of every suffix comes from one Z-function pass over the reversed word
 (Gusfield 1997, ch. 1), run on first use.  So the cuts of the whole word
-(`splits(whole_word_id(), 2)`), all a grounded binary atom needs, are integer
+(`splits(whole_word_id())`), all a grounded binary atom needs, are integer
 arithmetic with no slicing, string hashing or search: O(n) time and memory.
+`splits` is binary only: the planner's normal form has no longer atom.
 Other single lookups (`id_of_word`, `factor_id` before the table, and the one
 middle cut of `square_root`) find the leftmost start with one `str.find`.
 
@@ -29,8 +30,8 @@ reads each accepted span's id from the factor table.
 order of start, so a factor's first visit is its leftmost occurrence, and the
 new node is its id; the nodes made are the distinct factors.  O(n^2) work in
 all.  The table holds about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000)
-and is never built by the constructor or for grounded atoms; with it, a cut
-is two list reads.
+and is never built by the constructor or for grounded atoms; `splits` of any
+factor but the whole word builds it, and with it a cut is two list reads.
 Relations of non-grounded equations read it: a left side restricted to m
 factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side with one
 right side restricted to ids of k distinct lengths walks the table from
@@ -41,9 +42,9 @@ factors, O(n^2), and so does not call `splits` at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, repeat
+from itertools import repeat
 from operator import floordiv
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Optional
 
 from .model import Alphabet, InvalidSpanError, RegexAst
 from .nfa import thompson
@@ -202,25 +203,21 @@ class WordIndex:
 
     # -- concatenation ----------------------------------------------------------
 
-    def splits(self, fid: int, parts: int) -> Iterable[tuple[int, ...]]:
-        """Every way to write factor `fid` as a concatenation of `parts`
-        factors, as id tuples.  Each cut of its canonical occurrence gives
-        one tuple, and distinct cuts give distinct tuples.  The whole word's
-        binary cuts are one list kept by the index: callers must not modify it."""
-        if parts == 1:
-            return [(fid,)]
+    def splits(self, fid: int) -> list[tuple[int, int]]:
+        """(x, y) with word(fid) = word(x).word(y), one pair per cut of the
+        canonical occurrence; distinct cuts give distinct pairs.  The whole
+        word's cuts before the factor table are one list kept by the index;
+        any other factor's are read from the table.  Callers must not modify
+        the result."""
         start, end = self.occurrence(fid)
         length = end - start
         table = self._table
-        if parts == 2 and table is not None:
-            row = table[start]
-            return [(row[k], table[start + k][length - k]) for k in range(length + 1)]
-        if parts == 2 and length == self.n:
-            return self._whole_word_cuts()
-        at = self.factor_at
-        return (tuple(at(b[t], b[t + 1]) for t in range(parts))
-                for b in ((start, *cuts, end) for cuts in
-                          combinations_with_replacement(range(start, end + 1), parts - 1)))
+        if table is None:
+            if length == self.n:
+                return self._whole_word_cuts()
+            table = self.factor_table()
+        row = table[start]
+        return [(row[k], table[start + k][length - k]) for k in range(length + 1)]
 
     def square_root(self, fid: int) -> Optional[int]:
         """Id of r with word(fid) = r.r, else None: one cut, at the middle."""

@@ -418,21 +418,10 @@ class ConcatenationTree:
             for c in self.children[v]:
                 depth[c] = depth[v] + 1
                 order.append(c)
-        # Connected iff every marked node except the shallowest has its parent marked.
+        # Connected iff every marked node except the shallowest has its parent
+        # marked: following parents from any marked node then reaches it.
         top = min(marked, key=lambda v: depth[v])
-        for v in marked:
-            if v != top and par[v] not in marked:
-                return False
-        # Guard against two disconnected components at equal depth.
-        comp = {top}
-        changed = True
-        while changed:
-            changed = False
-            for v in marked - comp:
-                if par[v] in comp:
-                    comp.add(v)
-                    changed = True
-        return comp == marked
+        return all(v == top or par[v] in marked for v in marked)
 
     def is_localized(self) -> bool:
         seen: set[Variable] = set()

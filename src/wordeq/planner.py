@@ -344,8 +344,10 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
         label = weak.var_sets[a] & weak.var_sets[b]
         edges.append((anchor(groups[a], label), anchor(groups[b], label)))
 
-    # Regular constraints are unary: hang each off a node containing its
-    # variable, chaining constraints on variables no equation mentions.
+    # Regular constraints are unary: hang each off the first equation node
+    # containing its variable, chaining constraints on variables no equation
+    # mentions.
+    equation_nodes = len(nodes)
     placed_constraint: dict[Variable, int] = {}
     for c in nq.query.constraints:
         idx = len(nodes)
@@ -353,15 +355,8 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
         node_vars.append(frozenset() if c.var.is_universe else frozenset([c.var]))
         target: Optional[int] = None
         if not c.var.is_universe:
-            for g in groups:
-                for cand in g:
-                    if c.var in node_vars[cand]:
-                        target = cand
-                        break
-                if target is not None:
-                    break
-            if target is None:
-                target = placed_constraint.get(c.var)
+            target = next((i for i in range(equation_nodes) if c.var in node_vars[i]),
+                          placed_constraint.get(c.var))
             placed_constraint.setdefault(c.var, idx)
         if target is None:
             target = 0 if idx > 0 else None

@@ -24,7 +24,7 @@ def concat_triples(ix):
     """All (z, x, y) over distinct factors with word(z) = word(x)+word(y),
     one per binary cut of each factor."""
     for z in ix.all_factor_ids():
-        for x, y in ix.splits(z, 2):
+        for x, y in ix.splits(z):
             yield z, x, y
 
 
@@ -136,7 +136,7 @@ class TestIdsAreKeys:
                 if early:
                     ix.id_of_word(w[1:3])
                     ix.regex_members(regex)
-                    ix.splits(ix.whole_word_id(), 2)
+                    ix.splits(ix.whole_word_id())
                     assert all(ix.factor_at(i, j) == key for (i, j), key in expected.items()), w
                 ids = ix.all_factor_ids()
                 assert all(ix.factor_at(i, j) == key for (i, j), key in expected.items()), w
@@ -209,7 +209,7 @@ class TestWholeWordSplits:
             n = len(w)
             ix = build_index(w)
             wid = ix.whole_word_id()
-            cuts = list(ix.splits(wid, 2))
+            cuts = list(ix.splits(wid))
             # A second index numbered through factor_id alone, cut by cut.
             ref = build_index(w)
             assert ref.factor_id(Span(1, n + 1)) == wid
@@ -245,7 +245,7 @@ class TestWholeWordSplits:
             early = {factor: ix.id_of_word(factor)
                      for factor in sorted(brute_distinct_factors(w))[::2]}
             early.update((ix.word_of(fid), fid) for fid in ix.regex_members(regex))
-            cuts = list(ix.splits(ix.whole_word_id(), 2))
+            cuts = list(ix.splits(ix.whole_word_id()))
             for factor, fid in early.items():
                 assert ix.id_of_word(factor) == fid, (w, factor)
             for k, (x, y) in enumerate(cuts):

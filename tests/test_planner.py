@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import AB, all_words, random_fccq, random_fccq_wide, v
+from wordeq.bridge import pseudo_acyclic_to_acyclic_fccq, sercq_to_fccq
 from wordeq.decompose import decompose_bracketing
 from wordeq.evaluator import enumerate_results, model_check
 from wordeq.frontend import parse_query
@@ -17,6 +18,8 @@ from wordeq.model import (
     FcCq,
     FreshVars,
     REpsilon,
+    RegularConstraint,
+    SmallEquation,
     UNIVERSE,
     Variable,
     WordEquation,
@@ -310,6 +313,37 @@ class TestPlan:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_plan_nodes_are_in_normal_form(self):
+        """Every node `plan` emits is a regular constraint, a copy `z = x` or
+        a binary `z = x.y` (x may equal y), with no `u` on the right and the
+        left side not on the right: the only shapes `materialize_atom`
+        evaluates.  Checked on both random generators, with and without
+        pre-factoring, and on the SERCQ conversions."""
+        from test_bridge import random_sercq
+        rng = random.Random(13)
+        queries = [random_fccq(rng, max_atoms=6) for _ in range(300)]
+        queries += [random_fccq_wide(rng) for _ in range(300)]
+        for k in range(80):
+            sercq = random_sercq(rng, pseudo=k % 2 == 1)
+            queries.append(sercq_to_fccq(sercq))
+            if k % 2:
+                queries.append(pseudo_acyclic_to_acyclic_fccq(sercq))
+        planned = 0
+        for q in queries:
+            for prefactor in (False, True):
+                try:
+                    p = plan(q, prefactor=prefactor)
+                except CyclicQueryError:
+                    continue
+                planned += 1
+                for node in p.tree.nodes:
+                    if isinstance(node, RegularConstraint):
+                        continue
+                    assert isinstance(node, SmallEquation), (q, node)
+                    assert len(node.rhs) in (1, 2), (q, node)
+                    assert UNIVERSE not in node.rhs and node.lhs not in node.rhs, (q, node)
+        assert planned >= 600
 
     def test_soundness_random(self):
         rng = random.Random(77)
