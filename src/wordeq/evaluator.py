@@ -19,7 +19,9 @@ n + 1 prefixes as x, and with nothing kept the relation is `{()}`.  So
 
 Relations are generated from the join tree's most selective node outward, in
 BFS order, each child only for the ids its parent's rows allow, so dangling
-tuples are mostly never built.  Then the semi-join passes reduce them:
+tuples are mostly never built.  An inner node is semi-joined with its parent
+before its children are generated; a leaf is not.  Then the semi-join passes
+reduce them:
 `model_check` runs the bottom-up pass, `full_reduction` both."""
 from __future__ import annotations
 
@@ -264,24 +266,28 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
     onto `head` and the variables it shares with a join-tree neighbour (sound
     by the join-tree property: a variable two nodes share is kept on the path
     between them) and generated only for the ids its parent's relation
-    allows; with the tree's orientation from that root.  The semi-join passes
-    remove what the generation let through."""
+    allows; with the tree's orientation from that root.  A node with children
+    is semi-joined with its parent before they are generated from it, so rows
+    its generation let through (a grounded or pre-sized node, or one sharing
+    two variables with its parent) never widen theirs; a leaf is left to the
+    semi-join passes."""
     adj = tree.adjacency()
     keeps = [set(head).union(*(tree.var_sets[w] for w in adj[v])) for v in range(len(tree.nodes))]
     sized: dict[int, Relation] = {}
     order, children, parent = _orientation(tree, _root(tree, ix, sized, keeps))
     rels: list[Relation] = [None] * len(tree.nodes)  # type: ignore[list-item]
     for v in order:
-        if v in sized:
-            rels[v] = sized[v]
-            continue
-        p, node = parent[v], tree.nodes[v]
-        # A grounded equation's rows are the word's cuts whatever its parent allows.
-        grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
-        allowed = None if p is None or grounded else {
-            x: {row[i] for row in rels[p].rows}
-            for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
-        rels[v] = materialize_atom(ix, node, allowed, keeps[v])
+        p = parent[v]
+        rel = sized.get(v)
+        if rel is None:
+            node = tree.nodes[v]
+            # A grounded equation's rows are the word's cuts whatever its parent allows.
+            grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
+            allowed = None if p is None or grounded else {
+                x: {row[i] for row in rels[p].rows}
+                for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
+            rel = materialize_atom(ix, node, allowed, keeps[v])
+        rels[v] = rel if p is None or not children[v] else semijoin(rel, rels[p])
     return rels, order, children, parent
 
 
