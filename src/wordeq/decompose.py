@@ -639,38 +639,57 @@ def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
     if fresh is None:
         fresh = FreshVars(v.name for v in vars_of(p) | {root})
     ivs = _Intervals(pat)
-    tree = _derive_kary(_solve_kary(ivs, k), ivs.fid_of(1, ivs.n), None, {})
+    tree = _derive_kary(_solve_kary(ivs, k), ivs.fid_of(1, ivs.n))
     if tree is None:
         return None
     return _decomposition_of(tree, root, fresh, ivs)
 
 
-def _derive_kary(deriv: _KaryDerivation, f: int, forced: Optional[tuple[int, ...]],
-                 memo: dict) -> Optional[Bracketing]:
+def _derive_kary(deriv: _KaryDerivation, f: int) -> Optional[Bracketing]:
     """Backtracking tree derivation: pick a tuple per factor plus witness
     commitments for overlapping sibling pairs, revisiting earlier choices when
-    a committed subtree cannot be completed (the greedy order can dead-end)."""
-    if f in deriv.leaves:
-        return BLeaf(deriv.leaves[f])
-    key = (f, forced)
-    if key in memo:
-        return memo[key]
-    result: Optional[Bracketing] = None
-    for comp in (forced,) if forced is not None else deriv.tuples[f]:
-        for commitments in _kary_commitments(deriv, comp):
-            kids: list[Bracketing] = []
-            for at, c in enumerate(comp):
-                sub = _derive_kary(deriv, c, commitments.get(at), memo)
-                if sub is None:
-                    break
-                kids.append(sub)
+    a committed subtree cannot be completed (the greedy order can dead-end).
+
+    A frame per (factor, forced tuple) being derived holds its remaining
+    choices, the current one and the children derived for it; a finished
+    frame leaves its result in the memo, where its parent finds it."""
+    leaves = deriv.leaves
+    if f in leaves:
+        return BLeaf(leaves[f])
+
+    def choices(g: int, forced: Optional[tuple[int, ...]]):
+        for comp in (forced,) if forced is not None else deriv.tuples[g]:
+            for commitments in _kary_commitments(deriv, comp):
+                yield comp, commitments
+
+    memo: dict[tuple[int, Optional[tuple[int, ...]]], Optional[Bracketing]] = {}
+    # [key, remaining choices, current tuple (None: pick the next), its commitments, children]
+    stack: list[list] = [[(f, None), choices(f, None), None, None, []]]
+    while stack:
+        top = stack[-1]
+        key, options, comp, commitments, kids = top
+        if comp is None:
+            nxt = next(options, None)
+            if nxt is None:
+                memo[key] = None
+                stack.pop()
             else:
-                result = BNode(tuple(kids))
-                break
-        if result is not None:
-            break
-    memo[key] = result
-    return result
+                top[2], top[3], top[4] = nxt[0], nxt[1], []
+        elif len(kids) == len(comp):
+            memo[key] = BNode(tuple(kids))
+            stack.pop()
+        else:
+            at = len(kids)
+            child = (comp[at], commitments.get(at))
+            if comp[at] in leaves:
+                kids.append(BLeaf(leaves[comp[at]]))
+            elif child not in memo:
+                stack.append([child, choices(*child), None, None, []])
+            elif memo[child] is None:
+                top[2] = None
+            else:
+                kids.append(memo[child])
+    return memo[(f, None)]
 
 
 def _kary_commitments(deriv: _KaryDerivation, comp: tuple[int, ...]

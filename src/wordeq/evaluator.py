@@ -4,9 +4,11 @@ per-node indexes (Yannakakis 1981, "Algorithms for acyclic database schemes").
 
 The planner's normal form is the contract: a node is a regular constraint, a
 copy `z = x`, a square `z = x.x` or a binary `z = x.y`, with `u` only on the
-left and the left side not on the right.  Each shape yields rows already in
-its schema; a grounded one (`u` on the left) is over its right side alone.
-`materialize_atom` raises ValueError on any other equation.
+left and the left side not on the right.  `materialize_atom` raises
+ValueError on any other equation.  `_rows` dispatches once on the shape
+(grounded or not) and yields its schema and rows; a grounded one (`u` on the
+left) is over its right side alone.  `_project` then builds the relation,
+the one place a generated relation is built.
 
 Each node's relation is generated already projected onto the variables it
 keeps: the head (none for `check`) and those it shares with a join-tree
@@ -83,9 +85,10 @@ def _values(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]
 
 
 def _project(schema: tuple[Variable, ...], rows: Iterable[tuple[int, ...]],
-             keep: Optional[AbstractSet[Variable]]) -> Relation:
-    """The relation of `rows` over `schema`, projected onto `keep`."""
-    cols = [i for i, x in enumerate(schema) if keep is None or x in keep]
+             keep: AbstractSet[Variable]) -> Relation:
+    """The relation of `rows` over `schema`, projected onto `keep`: the one
+    place a generated relation is built."""
+    cols = [i for i, x in enumerate(schema) if x in keep]
     if len(cols) == len(schema):
         return Relation(schema, frozenset(rows))
     return Relation(tuple(schema[i] for i in cols), frozenset(map(_values(cols), rows)))
@@ -116,46 +119,12 @@ def _suffix_walk(table: list[list[int]], ys: AbstractSet[int],
                     yield at[end - s], at[p - s], y
 
 
-def _uncut(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
-           keep: AbstractSet[Variable]) -> Optional[Relation]:
-    """The projection of a binary `z = x.y` (x may equal y) onto `keep`
-    when it needs no cut of any factor, else None."""
-    if not (isinstance(atom, SmallEquation) and len(atom.rhs) == 2):
-        return None
-    z, (x, y) = atom.lhs, atom.rhs
-    kept = [t for t in dict.fromkeys((z, x, y)) if t in keep and not t.is_universe]
-    square = x == y
-    if not kept:
-        # epsilon satisfies z = x.y, and x = w, y = epsilon satisfies u = x.y;
-        # u = x.x holds only on squares.
-        if z.is_universe and square:
-            return None
-        return Relation((), frozenset({()} if all(allowed.values()) else ()))
-    if len(kept) > 1:
-        return None
-    (t,) = kept
-    ids = allowed.get(t)
-    if t == z:
-        # Every factor has a cut; a square only the middle one.
-        ids = ix.all_factor_ids() if ids is None else ids
-        return Relation((z,), frozenset(zip(
-            [f for f in ids if ix.square_root(f) is not None] if square else ids)))
-    if square:
-        return None         # y of z = y.y: only the ys whose square occurs
-    if not z.is_universe:
-        # z = x.epsilon or z = epsilon.y: every factor.
-        return Relation((t,), frozenset(zip(ix.all_factor_ids() if ids is None else ids)))
-    if t == y:
-        return None         # the suffixes' leftmost starts take a Z-function pass
-    # The prefix of length k is its own leftmost occurrence, id k.
-    prefixes = range(ix.n + 1)
-    return Relation((x,), frozenset(zip(prefixes if ids is None else [k for k in prefixes if k in ids])))
-
-
-def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]]
-          ) -> tuple[tuple[Variable, ...], Iterable[tuple[int, ...]]]:
+def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
+          keep: AbstractSet[Variable]) -> tuple[tuple[Variable, ...], Iterable[tuple[int, ...]]]:
     """The schema of an atom in the planner's normal form and its rows,
-    generated inside `allowed` as `materialize_atom` describes."""
+    generated inside `allowed` as `materialize_atom` describes.  A binary
+    equation keeping at most one variable other than `u` yields only that
+    column wherever no cut is needed to find it."""
     wid = ix.whole_word_id()
     if isinstance(atom, RegularConstraint):
         if atom.var.is_universe:
@@ -167,15 +136,35 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]]
             return (x,), [(wid,)]
         ids = allowed.get(z, allowed.get(x))
         return (z, x), ((f, f) for f in (ix.all_factor_ids() if ids is None else ids))
+    square = x == y
+    if z.is_universe and square:
+        # u = x.x: the word's middle cut.
+        root = ix.square_root(wid)
+        return (x,), [] if root is None else [(root,)]
+    kept = [t for t in dict.fromkeys((z, x, y)) if t in keep and not t.is_universe]
+    if not kept:
+        # epsilon satisfies z = x.y, and x = w, y = epsilon satisfies u = x.y.
+        return (), [()] if all(allowed.values()) else []
     if z.is_universe:
-        # The left side is the word itself: its middle cut, or all its cuts.
-        if x == y:
-            root = ix.square_root(wid)
-            return (x,), [] if root is None else [(root,)]
+        if kept == [x]:
+            # The prefix of length k is its own leftmost occurrence, id k.
+            ids = allowed.get(x)
+            prefixes = range(ix.n + 1)
+            return (x,), zip(prefixes if ids is None else [k for k in prefixes if k in ids])
+        # All the word's cuts; the suffixes' leftmost starts alone would take
+        # a Z-function pass.
         return (x, y), ix.splits(wid)
-    table = ix.factor_table()
     zs = allowed.get(z)
-    if x == y:
+    if kept == [z]:
+        # Every factor has a cut; a square only the middle one.
+        ids = ix.all_factor_ids() if zs is None else zs
+        return (z,), zip([f for f in ids if ix.square_root(f) is not None] if square else ids)
+    if len(kept) == 1 and not square:
+        # z = x.epsilon or z = epsilon.y: every factor.
+        ids = allowed.get(kept[0])
+        return (kept[0],), zip(ix.all_factor_ids() if ids is None else ids)
+    table = ix.factor_table()       # a square's roots, too, are then two lookups
+    if square:
         # z = x.x: only the middle cut can give equal halves.
         roots = ((f, ix.square_root(f)) for f in (ix.all_factor_ids() if zs is None else zs))
         return (z, x), (row for row in roots if row[1] is not None)
@@ -204,16 +193,15 @@ def materialize_atom(ix: WordIndex, atom,
     only allowed left sides are cut, and with a free left side the table is
     walked from the allowed occurrences of one right-side variable.
 
-    With `keep`, the relation is projected onto those of its variables."""
+    The relation is projected onto those of its variables in `keep`, by
+    default all of them."""
     if isinstance(atom, SmallEquation) and (
             len(atom.rhs) > 2 or atom.lhs in atom.rhs or any(x.is_universe for x in atom.rhs)):
         raise ValueError(f"{atom} is outside the planner's normal form: z = x or z = x.y, "
                          "u only on the left, z not on the right")
-    allowed = allowed or {}
-    uncut = None if keep is None else _uncut(ix, atom, allowed, keep)
-    if uncut is not None:
-        return uncut
-    return _project(*_rows(ix, atom, allowed), keep)
+    if keep is None:
+        keep = {atom.var} if isinstance(atom, RegularConstraint) else atom.variables()
+    return _project(*_rows(ix, atom, allowed or {}, keep), keep)
 
 
 def semijoin(r: Relation, s: Relation) -> Relation:

@@ -43,6 +43,7 @@ from .model import (
     WordEquation,
     WordeqError,
     regex_any_of,
+    regex_word,
 )
 
 KEYWORDS = {"ans", "in", "pi", "eq", "join", "S"}
@@ -127,7 +128,7 @@ class _Scanner:
         return word, start
 
 
-def _variable(name: str, start: int, sc: _Scanner) -> Variable:
+def _variable(name: str, start: int) -> Variable:
     if name in KEYWORDS and name != UNIVERSE_NAME:
         raise ParseError(f"{name!r} is a reserved word", SourceSpan(start, start + len(name)))
     if name == UNIVERSE_NAME:
@@ -217,12 +218,7 @@ class _RegexParser:
         if ch == "'":
             word, qstart = sc.quoted()
             _check_terminals(word, self.alphabet, qstart + 1)
-            if not word:
-                return REpsilon()
-            node: RegexAst = RLit(word[0])
-            for c in word[1:]:
-                node = RConcat(node, RLit(c))
-            return node
+            return regex_word(word)
         if ch == "(":
             sc.pos += 1
             node = self.parse_union()
@@ -238,7 +234,7 @@ class _RegexParser:
             if sc.peek() == "{" and len(name) >= 1 and name[0].isalpha():
                 if not self.allow_bindings:
                     raise sc.error("variable bindings are not allowed here", istart)
-                var = _variable(name, istart, sc)
+                var = _variable(name, istart)
                 sc.expect("{")
                 inner = self.parse_union()
                 sc.expect("}")
@@ -265,7 +261,6 @@ def parse_regex(text: str, alphabet: Alphabet, allow_bindings: bool = False) -> 
 
 def _parse_concat(sc: _Scanner, alphabet: Alphabet) -> Pattern:
     items: list[PatternItem] = []
-    first = True
     while True:
         sc.skip_ws()
         if sc.peek() == "'":
@@ -274,12 +269,9 @@ def _parse_concat(sc: _Scanner, alphabet: Alphabet) -> Pattern:
             items.extend(word)
         else:
             name, start = sc.ident()
-            items.append(_variable(name, start, sc))
-        first = False
+            items.append(_variable(name, start))
         if not sc.try_literal("."):
             break
-    if first:
-        raise sc.error("expected a pattern")
     return tuple(items)
 
 
@@ -296,7 +288,7 @@ def parse_query(text: str, alphabet: Alphabet) -> FcCq:
     if sc.peek() != ")":
         while True:
             name, start = sc.ident()
-            v = _variable(name, start, sc)
+            v = _variable(name, start)
             if v.is_universe:
                 raise ParseError("the universe variable cannot be in the head",
                                  SourceSpan(start, start + len(name)))
@@ -310,7 +302,7 @@ def parse_query(text: str, alphabet: Alphabet) -> FcCq:
     constraints: list[RegularConstraint] = []
     while True:
         name, start = sc.ident()
-        var = _variable(name, start, sc)
+        var = _variable(name, start)
         sc.skip_ws()
         if sc.try_literal("="):
             equations.append(WordEquation(var, _parse_concat(sc, alphabet)))
@@ -406,7 +398,7 @@ def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
     if sc.peek() != "}":
         while True:
             name, start = sc.ident()
-            projection.append(_variable(name, start, sc))
+            projection.append(_variable(name, start))
             if not sc.try_literal(","):
                 break
     sc.expect("}")
@@ -414,17 +406,15 @@ def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
     equalities: list[tuple[Variable, Variable]] = []
     while True:
         sc.skip_ws()
-        save = sc.pos
         if not sc.text.startswith("eq", sc.pos):
             break
-        sc.pos = save
         sc.expect("eq")
         sc.expect("{")
         n1, s1 = sc.ident()
         sc.expect(",")
         n2, s2 = sc.ident()
         sc.expect("}")
-        equalities.append((_variable(n1, s1, sc), _variable(n2, s2, sc)))
+        equalities.append((_variable(n1, s1), _variable(n2, s2)))
 
     sc.expect("(")
     formulas: list[RegexAst] = []

@@ -6,7 +6,6 @@ the regex NFA.  All expected values in the test suite come from here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator
@@ -31,13 +30,9 @@ from .model import (
 from .nfa import thompson
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Bounds keeping the exhaustive searches desk-sized."""
-
-    max_word_length: int = 10
-    max_pattern_length: int = 12
-    alphabet: tuple[str, ...] = ("a", "b")
+# Longest pattern whose bracketings are enumerated: the Catalan growth
+# keeps the exhaustive search desk-sized up to here.
+MAX_PATTERN_LENGTH = 12
 
 
 def factors(w: str) -> list[str]:
@@ -154,9 +149,9 @@ def _resolve_universe(p: Pattern, w: str) -> Pattern:
     return tuple(out)
 
 
-def all_bracketings(p: Pattern, config: OracleConfig = OracleConfig()) -> list[Bracketing]:
+def all_bracketings(p: Pattern) -> list[Bracketing]:
     """Every binary bracketing of the pattern (Catalan growth)."""
-    if len(p) > config.max_pattern_length:
+    if len(p) > MAX_PATTERN_LENGTH:
         raise TooLargeError(f"refusing to enumerate bracketings of length {len(p)}")
 
     items = tuple(p)

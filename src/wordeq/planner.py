@@ -86,75 +86,71 @@ def normalize(q: FcCq) -> NormalizedQuery:
         equations[idx] = WordEquation(eq.lhs, core)
         trace.append(f"terminal blocks of {eq.lhs} = {_shown(eq.rhs)} replaced by fresh variables")
 
-    for _ in range(4 * len(equations) * len(equations) + 8):
-        changed = False
-        for idx, eq in enumerate(equations):
+    def swallow(eq: WordEquation) -> WordEquation:
+        # The universe variable on the right pins the left side to the word;
+        # occurring twice or more (|x| >= 2|w|), it makes the word epsilon.
+        if eq.rhs.count(UNIVERSE) >= 2:
+            add_eps(UNIVERSE)
+        for v in eq.rhs:
+            if not v.is_universe:
+                add_eps(v)
+        trace.append(f"{eq.lhs} swallows the whole word; rewritten with u on the left")
+        return WordEquation(UNIVERSE, (eq.lhs,))
+
+    # Per-equation rules, in order.  None of their rewrites lets one of them
+    # apply again: `x = z_fresh` and `u = x` (x is not u) are left alone.
+    ruled: list[WordEquation] = []
+    for eq in equations:
+        repeats = eq.rhs.count(eq.lhs)
+        if len(eq.rhs) == 0:
             # Empty right side pins the left side to epsilon.
-            if len(eq.rhs) == 0:
-                equations.pop(idx)
+            add_eps(eq.lhs)
+            trace.append(f"{eq.lhs} = '' recorded as an epsilon constraint")
+        elif not repeats:
+            ruled.append(swallow(eq) if UNIVERSE in eq.rhs else eq)
+        else:
+            # Left side occurring on the right forces the remainder to
+            # epsilon; occurring twice or more (|x| >= 2|x|), it is epsilon
+            # itself.
+            if repeats >= 2:
                 add_eps(eq.lhs)
-                trace.append(f"{eq.lhs} = '' recorded as an epsilon constraint")
-                changed = True
-                break
-            # Left side occurring on the right forces the remainder to epsilon;
-            # occurring twice or more (|x| >= 2|x|), it is epsilon itself.
-            repeats = eq.rhs.count(eq.lhs)
-            if repeats:
-                others = [v for v in eq.rhs if v != eq.lhs]
-                if repeats >= 2:
-                    equations.pop(idx)
-                    add_eps(eq.lhs)
-                    trace.append(f"{eq.lhs} occurs {repeats} times on its own right side; "
-                                 f"it and the remainder forced to epsilon")
-                else:
-                    equations[idx] = WordEquation(eq.lhs, (fresh.fresh("z"),))
-                    trace.append(f"{eq.lhs} occurs on both sides; remainder forced to epsilon")
-                for v in others:
-                    add_eps(v)
-                changed = True
-                break
-            # The universe variable on the right pins the left side to the
-            # word; occurring twice or more (|x| >= 2|w|), it makes the word
-            # epsilon.
-            repeats = eq.rhs.count(UNIVERSE)
-            if repeats:
-                others = [v for v in eq.rhs if not v.is_universe]
-                equations[idx] = WordEquation(UNIVERSE, (eq.lhs,))
-                if repeats >= 2:
-                    add_eps(UNIVERSE)
-                for v in others:
-                    add_eps(v)
-                trace.append(f"{eq.lhs} swallows the whole word; rewritten with u on the left")
-                changed = True
-                break
-        if changed:
-            continue
-        # Duplicate right sides: the later equation becomes a copy.
-        seen: dict[tuple, int] = {}
-        for idx, eq in enumerate(equations):
-            key = tuple(eq.rhs)
-            if key not in seen:
-                seen[key] = idx
-                continue
-            first = equations[seen[key]]
-            if first.lhs == eq.lhs:
-                equations.pop(idx)
-                trace.append(f"dropped duplicate atom {eq.lhs} = {_shown(eq.rhs)}")
-            elif len(key) == 1 and (cycle := _implied_copy(equations)) is not None:
-                # A copy closing a cycle of copies is implied by the others;
-                # left in, copies would be passed round the cycle forever.
-                implied = equations.pop(cycle)
-                trace.append(f"dropped copy {implied.lhs} = {_shown(implied.rhs)}, "
-                             f"implied by other copies")
+                trace.append(f"{eq.lhs} occurs {repeats} times on its own right side; "
+                             f"it and the remainder forced to epsilon")
             else:
-                equations[idx] = WordEquation(eq.lhs, (first.lhs,))
-                trace.append(f"{eq.lhs} = {_shown(eq.rhs)} duplicates {first.lhs}; now a copy")
-            changed = True
-            break
-        if not changed:
-            break
-    else:
-        raise AssertionError("normalization did not converge")
+                ruled.append(WordEquation(eq.lhs, (fresh.fresh("z"),)))
+                trace.append(f"{eq.lhs} occurs on both sides; remainder forced to epsilon")
+            for v in eq.rhs:
+                if v != eq.lhs:
+                    add_eps(v)
+    equations = ruled
+
+    # Duplicate right sides: the later equation becomes a copy of the first.
+    # A copy moves only to the left side of an earlier equation with the same
+    # right side, so it can come back only round a cycle of copies; such a
+    # cycle is dropped, and the scan starts again, before any copy moves.
+    seen: dict[tuple, int] = {}
+    idx = 0
+    while idx < len(equations):
+        eq = equations[idx]
+        key = tuple(eq.rhs)
+        if key not in seen:
+            seen[key] = idx
+            idx += 1
+        elif (first := equations[seen[key]]).lhs == eq.lhs:
+            equations.pop(idx)
+            trace.append(f"dropped duplicate atom {eq.lhs} = {_shown(eq.rhs)}")
+        elif len(key) == 1 and (cycle := _implied_copy(equations)) is not None:
+            # A copy closing a cycle of copies is implied by the others;
+            # left in, copies would be passed round the cycle forever.
+            implied = equations.pop(cycle)
+            trace.append(f"dropped copy {implied.lhs} = {_shown(implied.rhs)}, "
+                         f"implied by other copies")
+            seen.clear()
+            idx = 0
+        else:
+            trace.append(f"{eq.lhs} = {_shown(eq.rhs)} duplicates {first.lhs}; now a copy")
+            copy = WordEquation(eq.lhs, (first.lhs,))
+            equations[idx] = swallow(copy) if first.lhs == UNIVERSE else copy
 
     out = FcCq(q.head, tuple(equations), tuple(constraints))
     return NormalizedQuery(out, tuple(trace), frozenset(eps_vars))

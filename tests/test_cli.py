@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -50,6 +52,24 @@ class TestCheck:
         w = files("w.txt", "ab")
         code, _, err = run(capsys, "check", q, w, "--require-acyclic")
         assert code == 1 and "cyclic" in err
+
+    def test_word_from_stdin(self, files, capsys, monkeypatch):
+        q = files("q.fcq", "ans() :- u = x.x")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"abab\n")))
+        code, out, _ = run(capsys, "check", q, "-")
+        assert code == 0 and out == "true\n"
+
+    def test_missing_query_file(self, files, capsys, tmp_path):
+        w = files("w.txt", "abab")
+        code, out, err = run(capsys, "check", str(tmp_path / "missing.fcq"), w)
+        assert code == 2 and out == "" and err.startswith("error: ") and "missing.fcq" in err
+
+    def test_word_outside_the_alphabet(self, files, capsys):
+        q = files("q.fcq", "ans() :- u = x.x")
+        w = files("w.txt", "abca")
+        code, out, err = run(capsys, "--alphabet", "ab", "check", q, w)
+        assert code == 2 and out == ""
+        assert err == "error: input byte 'c' at offset 2 is outside the alphabet\n"
 
     def test_cyclic_fallback_warns(self, files, capsys):
         # The membership example: cyclic core, answered through brute force.
@@ -219,6 +239,15 @@ class TestPattern:
         assert code == 0 and "u = " in out
 
 
+    def test_empty_pattern(self, capsys):
+        code, out, err = run(capsys, "pattern", "acyclic", "")
+        assert code == 2 and out == "" and err == "empty pattern\n"
+
+    def test_not_k_local(self, capsys):
+        code, out, _ = run(capsys, "pattern", "k-local", "x1x1x1x2x1x3x1x2x3", "--k", "3")
+        assert code == 1 and out == "not 3-ary local\n"
+
+
 class TestConvert:
     def test_sercq_to_fc_round_trip(self, files, capsys, tmp_path):
         s = files("p.sercq", "pi{x} ( (S*.(x{S+}.'a')).S* )")
@@ -235,6 +264,12 @@ class TestConvert:
         assert code == 0
         parsed = parse_sercq(open(out_path).read().strip(), default_alphabet())
         assert len(parsed.formulas) == 1
+
+    def test_output_to_stdout(self, files, capsys):
+        q = files("q.fcq", "ans(x) :- u = x.'a'.x")
+        code, out, _ = run(capsys, "convert", "fc2sercq", q)
+        assert code == 0
+        assert len(parse_sercq(out.strip(), default_alphabet()).formulas) == 1
 
     def test_pseudo_acyclic_flag(self, files, capsys, tmp_path):
         s = files("p.sercq", "pi{x} ( 'a'*.x{'b'+}.S* )")

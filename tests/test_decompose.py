@@ -41,6 +41,20 @@ def N(*children) -> BNode:
     return BNode(tuple(children))
 
 
+def spelled(two) -> tuple:
+    """The pattern a decomposition rooted at `u` spells, expanded with an
+    explicit stack."""
+    defs = {**two.defining(), UNIVERSE: two.root_equation()}
+    leaves, todo = [], [UNIVERSE]
+    while todo:
+        x = todo.pop()
+        if x in defs:
+            todo.extend(reversed(defs[x].rhs))
+        else:
+            leaves.append(x)
+    return tuple(leaves)
+
+
 def assert_valid_decomposition(two, root, pattern):
     assert two.expand(root) == pattern
     assert gyo([(eq, eq.variables()) for eq in two.equations]) is not None
@@ -194,15 +208,7 @@ class TestFindDecomposition:
         p = (v("x1"),) * (sys.getrecursionlimit() + 100)
         for two in (find_acyclic_decomposition(p, UNIVERSE), k_ary_local_decomposition(p, 2)):
             assert two is not None
-            defs = {**two.defining(), UNIVERSE: two.root_equation()}
-            leaves, todo = [], [UNIVERSE]
-            while todo:
-                x = todo.pop()
-                if x in defs:
-                    todo.extend(reversed(defs[x].rhs))
-                else:
-                    leaves.append(x)
-            assert tuple(leaves) == p
+            assert spelled(two) == p
 
     def test_always_sound(self):
         for p in canonical_patterns(7, 3):
@@ -365,6 +371,22 @@ class TestKary:
             p = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
             results = [k_ary_local_decomposition(p, k) is not None for k in (2, 3, 4)]
             assert results == sorted(results), p
+
+    def test_deeper_than_the_recursion_limit(self):
+        # At k = 3 the first tuple of x1^n is (x1, x1^(n-1)), so the
+        # derivation nests n deep; it runs on an explicit stack.
+        p = (v("x1"),) * 150
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            two = k_ary_local_decomposition(p, 3)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert two is not None
+        assert spelled(two) == p
 
     def test_outputs_beyond_the_golden_set(self):
         # sha256 of the k = 3 and k = 4 outputs below as printed by the

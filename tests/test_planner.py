@@ -563,3 +563,59 @@ class TestGoldenPlans:
             parts.append(f"{k}:\n{p.explain()}\nskeleton edges: {edges}")
         text = "\n".join(parts) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+def golden_normalize_queries() -> list[FcCq]:
+    """About 3000 queries for the `normalize` digest: multi-atom
+    `random_fccq`, `random_fccq_wide`, and queries whose right sides are
+    three short patterns or single variables, so that duplicates, copies of
+    `u`, and cycles of copies are common."""
+    fixtures = [
+        "ans() :- z = x, x = z, u = z",
+        "ans(a) :- a = b, b = c, c = a, u = a",
+        "ans(x,y) :- x = y, y = x, z = y, w = x",
+        "ans() :- u = x.y, z = x.y, w = x.y, w = z",
+    ]
+    queries = [parse_query(text, AB) for text in fixtures]
+    pool = [Variable(n) for n in ("x", "y", "z", "v", "w")]
+    x, y, z = pool[:3]
+    shapes = [(x, y), (y, z, x), (x, x)]
+    rng = random.Random(7)
+    while len(queries) < 3000:
+        roll = len(queries) % 3
+        if roll == 0:
+            queries.append(random_fccq(rng, max_atoms=rng.choice((6, 8)),
+                                       var_pool=("x", "y", "z", "v", "w", "t")))
+        elif roll == 1:
+            queries.append(random_fccq_wide(rng))
+        else:
+            equations = []
+            for _ in range(rng.randint(2, 8)):
+                lhs = UNIVERSE if rng.random() < 0.3 else rng.choice(pool)
+                rhs = rng.choice(shapes) if rng.random() < 0.5 else (rng.choice(pool),)
+                equations.append(WordEquation(lhs, rhs))
+            queries.append(FcCq((), tuple(equations)))
+    return queries
+
+
+def normalize_text(queries: list[FcCq]) -> str:
+    """Each query's normalized equations, trace and epsilon set."""
+    parts = []
+    for k, q in enumerate(queries):
+        nq = normalize(q)
+        eqs = ", ".join(f"{eq.lhs.name} = {'.'.join(r.name for r in eq.rhs)}"
+                        for eq in nq.query.equations)
+        eps = " ".join(sorted(x.name for x in nq.epsilon_vars))
+        parts.append("\n".join([f"{k}: {eqs}", *nq.trace, f"epsilon: {eps}"]))
+    return "\n".join(parts) + "\n"
+
+
+class TestGoldenNormalize:
+    # sha256 of `normalize_text` as printed by the normalization that
+    # restarted from the first equation after every rewrite; the ordered
+    # passes must print it unchanged.
+    DIGEST = "0b1aae17f09b4d12d3331c785ccb6e72dceca5749ed79250565a579857fd45a4"
+
+    def test_normalize_outputs_unchanged(self):
+        text = normalize_text(golden_normalize_queries())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
