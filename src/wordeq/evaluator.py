@@ -16,8 +16,8 @@ neighbour, the only ones a semi-join or the walk reads.  A binary equation
 that keeps at most one of its variables is generated without its cuts: a
 kept left side is every factor with a cut, a kept right side with a free
 left side is every factor (`x = x.epsilon`), a grounded `u = x.y` keeps the
-n + 1 prefixes as x, and with nothing kept the relation is `{()}`.  So
-`check` of `x = y.z` builds one row, not ~n^3/6.
+n + 1 prefixes as x or the n + 1 suffixes as y, and with nothing kept the
+relation is `{()}`.  So `check` of `x = y.z` builds one row, not ~n^3/6.
 
 Relations are generated from the join tree's most selective node outward, in
 BFS order, each child only for the ids its parent's rows allow, so dangling
@@ -28,7 +28,7 @@ reduce them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional
 
@@ -146,14 +146,14 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
         # epsilon satisfies z = x.y, and x = w, y = epsilon satisfies u = x.y.
         return (), [()] if all(allowed.values()) else []
     if z.is_universe:
-        if kept == [x]:
-            # The prefix of length k is its own leftmost occurrence, id k.
-            ids = allowed.get(x)
-            prefixes = range(ix.n + 1)
-            return (x,), zip(prefixes if ids is None else [k for k in prefixes if k in ids])
-        # All the word's cuts; the suffixes' leftmost starts alone would take
-        # a Z-function pass.
-        return (x, y), ix.splits(wid)
+        if kept == [x, y]:
+            return (x, y), ix.splits(wid)
+        # One column: the prefix of length k is its own leftmost occurrence,
+        # id k; the suffixes' ids are read off their leftmost starts.
+        (side,) = kept
+        ids = allowed.get(side)
+        fids = range(ix.n + 1) if side == x else ix.suffix_ids()
+        return (side,), zip(fids if ids is None else [f for f in fids if f in ids])
     zs = allowed.get(z)
     if kept == [z]:
         # Every factor has a cut; a square only the middle one.
@@ -209,11 +209,17 @@ def semijoin(r: Relation, s: Relation) -> Relation:
     shared = [v for v in s.schema if v in r.schema]
     if not shared:
         return r if s.rows else Relation(r.schema, frozenset())
+    if len(shared) == len(r.schema) > 1 and len(s.rows) < len(r.rows):
+        # With two or more columns, all shared, the rows of r are their own
+        # keys: read the fewer rows of s in r's order and intersect.
+        in_r_order = itemgetter(*map(s.schema.index, r.schema))
+        return Relation(r.schema, r.rows & frozenset(map(in_r_order, s.rows)))
     r_key = itemgetter(*(r.schema.index(v) for v in shared))
     # With two or more columns, all shared, the rows of s are the keys.
     keys = s.rows if len(shared) == len(s.schema) > 1 else set(
         map(itemgetter(*(s.schema.index(v) for v in shared)), s.rows))
-    return Relation(r.schema, frozenset(row for row in r.rows if r_key(row) in keys))
+    hits = map(keys.__contains__, map(r_key, r.rows))
+    return Relation(r.schema, frozenset(compress(r.rows, hits)))
 
 
 def _orientation(tree: JoinTree, root: int = 0) -> tuple[list[int], list[list[int]], list[Optional[int]]]:
@@ -272,7 +278,7 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
             # A grounded equation's rows are the word's cuts whatever its parent allows.
             grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
             allowed = None if p is None or grounded else {
-                x: {row[i] for row in rels[p].rows}
+                x: set(map(itemgetter(i), rels[p].rows))
                 for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
             rel = materialize_atom(ix, node, allowed, keeps[v])
         rels[v] = rel if p is None or not children[v] else semijoin(rel, rels[p])

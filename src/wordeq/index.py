@@ -5,11 +5,16 @@ Factor ids canonicalize factor equality: two spans get the same id exactly
 when they spell the same word.  A factor's id is its leftmost occurrence,
 `start * (n + 1) + length`, so the index stores neither factor strings nor
 ids: `occurrence` is one `divmod`, epsilon is 0, the whole word is n.
-The prefix of length k is its own leftmost occurrence, id k, and the leftmost
-start of every suffix comes from one Z-function pass over the reversed word
-(Gusfield 1997, ch. 1), run on first use.  So the cuts of the whole word
-(`splits(whole_word_id())`), all a grounded binary atom needs, are integer
-arithmetic with no slicing, string hashing or search: O(n) time and memory.
+The prefix of length k is its own leftmost occurrence, id k.  The leftmost
+starts of the suffixes (`suffix_ids`, built on first use) come from a few
+`str.find` calls: each finds the leftmost end of one suffix, and the longer
+suffixes that first end there too are filled in with one slice assignment.
+Most words need only a handful of finds; a periodic word like a^n needs one
+per letter, so after 2 * n.bit_length() + 8 finds the index falls back to one
+Z-function pass over the reversed word (Gusfield 1997, ch. 1), O(n) in
+Python.  So the cuts of the whole word (`splits(whole_word_id())`), all a
+grounded binary atom needs, are integer arithmetic on those starts with no
+factor table: O(n) memory.
 `splits` is binary only: the planner's normal form has no longer atom.
 Other single lookups (`id_of_word`, `factor_id` before the table, and the one
 middle cut of `square_root`) find the leftmost start with one `str.find`.
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import floordiv
+from operator import add, floordiv, mul
 from typing import AbstractSet, Optional
 
 from .model import Alphabet, InvalidSpanError, RegexAst
@@ -87,8 +92,8 @@ def z_function(s: str) -> list[int]:
     return z
 
 
-def leftmost_suffix_starts(word: str) -> list[int]:
-    """starts[m] = the leftmost start of the suffix of length m, in O(n).
+def _z_suffix_starts(word: str) -> list[int]:
+    """`leftmost_suffix_starts` by one Z-function pass, O(n) in Python.
 
     On the reversed word, z[n - e] is the longest common suffix of `word` and
     `word[:e]`; the suffix of length m first ends at the smallest e where that
@@ -105,9 +110,48 @@ def leftmost_suffix_starts(word: str) -> list[int]:
     return starts
 
 
+def leftmost_suffix_starts(word: str) -> list[int]:
+    """starts[m] = the leftmost start of the suffix of length m.
+
+    The leftmost end of the suffix of length m never decreases as m grows.
+    One `str.find` from the previous end gives it, E; a gallop and a binary
+    search with `str.endswith` give the longest common suffix L of `word[:E]`
+    and `word`, and every length from m to L first ends at E.  At E = n no
+    longer suffix repeats, and it starts where it stands.  So each find, a
+    scan in C, covers a run of lengths.  A word with many runs (a^n has n)
+    falls back to the Z-function pass after 2 * n.bit_length() + 8 finds."""
+    n = len(word)
+    starts = list(range(n, -1, -1))
+    starts[0] = 0                   # epsilon first occurs at 0
+    finds = 2 * n.bit_length() + 8
+    m, end = 1, 0
+    while m <= n:
+        finds -= 1
+        if finds < 0:
+            return _z_suffix_starts(word)
+        end = word.find(word[n - m:], max(end - m, 0)) + m
+        if end == n:
+            break
+        # The longest common suffix of word[:end] and word: the suffix of
+        # length lo is common, and once the gallop stops that of hi is not.
+        lo, hi = m, 2 * m
+        while hi <= end and word.endswith(word[n - hi:], 0, end):
+            lo, hi = hi, 2 * hi
+        hi = min(hi, end + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if word.endswith(word[n - mid:], 0, end):
+                lo = mid
+            else:
+                hi = mid
+        starts[m:lo + 1] = range(end - m, end - lo - 1, -1)
+        m = lo + 1
+    return starts
+
+
 class WordIndex:
-    """The whole word's cuts and the factor table are filled in on first use,
-    so an index is not safe to share between threads."""
+    """The suffix ids, the whole word's cuts and the factor table are filled
+    in on first use, so an index is not safe to share between threads."""
 
     def __init__(self, word: str, alphabet: Optional[Alphabet] = None):
         if alphabet is not None and not set(word) <= set(alphabet):
@@ -116,6 +160,7 @@ class WordIndex:
         self.word = word
         self.n = len(word)
         self._stride = self.n + 1
+        self._suffixes: Optional[list[int]] = None
         self._word_cuts: Optional[list[tuple[int, int]]] = None
         self._table: Optional[list[list[int]]] = None
         self._factors: list[int] = []       # distinct ids, filled with the table
@@ -127,12 +172,18 @@ class WordIndex:
         start, length = divmod(fid, self._stride)
         return start, start + length
 
+    def suffix_ids(self) -> list[int]:
+        """`suffix_ids()[m]` is the id of the suffix of length m, built once;
+        callers must not modify it."""
+        if self._suffixes is None:
+            starts = leftmost_suffix_starts(self.word)
+            self._suffixes = list(map(add, map(mul, starts, repeat(self._stride)), range(self.n + 1)))
+        return self._suffixes
+
     def _whole_word_cuts(self) -> list[tuple[int, int]]:
         """(prefix id, suffix id) at each cut of the whole word, built once."""
         if self._word_cuts is None:
-            n, stride = self.n, self._stride
-            suffix = leftmost_suffix_starts(self.word)
-            self._word_cuts = [(k, suffix[n - k] * stride + n - k) for k in range(n + 1)]
+            self._word_cuts = list(zip(range(self.n + 1), reversed(self.suffix_ids())))
         return self._word_cuts
 
     def check_span(self, s: Span) -> None:

@@ -364,6 +364,25 @@ class TestProjectedMaterialize:
         monkeypatch.setattr(index, "leftmost_suffix_starts", cut)
         assert materialize_atom(build_index(ix.word), eq, keep={v(x) for x in keep}) == expected
 
+    def test_grounded_suffixes_cut_no_factor(self, monkeypatch):
+        """`u = x.y` keeping only y yields the n + 1 suffix ids, read off
+        their leftmost starts, with no cut; inside `allowed` it keeps every
+        allowed one."""
+        from wordeq import index
+        ix = build_index("abaababa")
+        eq = SmallEquation(v("u"), (v("x"), v("y")))
+        expected = project(materialize_atom(ix, eq), {v("y")})
+
+        def cut(*args):
+            raise AssertionError("a factor was cut")
+
+        monkeypatch.setattr(index.WordIndex, "splits", cut)
+        rel = materialize_atom(build_index(ix.word), eq, keep={v("y")})
+        assert rel == expected and len(rel.rows) == ix.n + 1
+        allowed = {fid for (fid,) in expected.rows if fid % 2}
+        rel = materialize_atom(build_index(ix.word), eq, {v("y"): allowed}, keep={v("y")})
+        assert {fid for (fid,) in rel.rows} == allowed
+
     @pytest.mark.parametrize("text, enum", [
         ("ans(x) :- x = y.z", False), ("ans(x) :- x = y.z", True), ("ans(x,y,z) :- x = y.z", False),
     ])
@@ -407,6 +426,19 @@ class TestSemijoin:
         r = Relation((x, y, z), frozenset({(1, 2, 3), (2, 1, 3), (1, 2, 4), (2, 5, 4)}))
         s = Relation((z, x), frozenset({(3, 1), (4, 2)}))
         assert semijoin(r, s).rows == frozenset({(1, 2, 3), (2, 5, 4)})
+
+    @given(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=9),
+           st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), max_size=9),
+           st.sampled_from(["xy", "yx", "yzx", "zxy"]))
+    @settings(max_examples=200)
+    def test_left_side_all_shared(self, rows_r, rows_s, names):
+        """When every column of r is shared, the result is the same whether
+        s or r has fewer rows, in any column order of s."""
+        r = Relation((v("x"), v("y")), frozenset(rows_r))
+        s = Relation(tuple(map(v, names)), frozenset(row[:len(names)] for row in rows_s))
+        x, y = s.schema.index(v("x")), s.schema.index(v("y"))
+        keys = {(row[x], row[y]) for row in s.rows}
+        assert semijoin(r, s).rows == {row for row in r.rows if row in keys}
 
     def test_empty_right(self):
         r = Relation((v("x"),), frozenset({(1,)}))

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import AB, all_words, random_regex
-from wordeq.index import EPSILON_ID, Span, build_index, leftmost_suffix_starts, z_function
+from wordeq.index import (
+    EPSILON_ID,
+    Span,
+    _z_suffix_starts,
+    build_index,
+    leftmost_suffix_starts,
+    z_function,
+)
 from wordeq.model import InvalidSpanError
 from wordeq.nfa import Nfa, thompson
 
@@ -173,8 +180,17 @@ class TestZFunction:
             self.check("".join(rng.choice("ab") for _ in range(n)))
 
 
+def fibonacci_word(n: int) -> str:
+    """The first n letters of the Fibonacci word abaababaab..."""
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
 class TestSuffixStarts:
-    """The Z-function pass against `str.find` on every suffix."""
+    """`leftmost_suffix_starts` against `str.find` on every suffix and against
+    the Z-function pass it falls back to."""
 
     @staticmethod
     def check(w: str) -> None:
@@ -183,9 +199,10 @@ class TestSuffixStarts:
         assert len(starts) == n + 1
         for k in range(n + 1):
             assert starts[n - k] == w.find(w[k:]), (w, k)
+        assert starts == _z_suffix_starts(w), w
 
     def test_every_short_word(self):
-        for w in all_words("ab", 10):
+        for w in all_words("ab", 14):
             self.check(w)
 
     def test_random_long_words(self):
@@ -199,6 +216,35 @@ class TestSuffixStarts:
             else:
                 w = "".join(rng.choice("ab") for _ in range(n))
             self.check(w)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_periodic_words(self, n):
+        """Words with a run of leftmost ends per letter, past the find
+        budget, and their near misses."""
+        h = "".join(random.Random(n).choice("ab") for _ in range(n // 3))
+        for w in ("a" * n, ("ab" * n)[:n], "b" + "a" * (n - 1), "a" * (n - 1) + "b",
+                  fibonacci_word(n), h + h + h):
+            self.check(w)
+
+    def test_z_function_only_past_the_budget(self, monkeypatch):
+        """A uniform word and its square take only the finds; a^n, one run
+        per letter, falls back to the Z-function pass."""
+        from wordeq import index
+        calls = []
+        original = index.z_function
+
+        def counted(s):
+            calls.append(len(s))
+            return original(s)
+
+        monkeypatch.setattr(index, "z_function", counted)
+        rng = random.Random(15)
+        w = "".join(rng.choice("ab") for _ in range(4000))
+        leftmost_suffix_starts(w)
+        leftmost_suffix_starts(w + w)
+        assert calls == []
+        leftmost_suffix_starts("a" * 4000)
+        assert calls == [4000]
 
 
 class TestWholeWordSplits:
