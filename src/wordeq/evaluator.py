@@ -21,9 +21,15 @@ relation is `{()}`.  So `check` of `x = y.z` builds one row, not ~n^3/6.
 
 Relations are generated from the join tree's most selective node outward, in
 BFS order, each child only for the ids its parent's rows allow, so dangling
-tuples are mostly never built.  An inner node is semi-joined with its parent
-before its children are generated; a leaf is not.  Then the semi-join passes
-reduce them:
+tuples are mostly never built.  A binary child `z = x.y` that shares two or
+three variables with its parent is generated from the parent's rows instead
+(Yannakakis: generate only what the semi-join keeps): two of its variables
+fix the third, so each distinct parent value yields at most one row, found
+with one `startswith` (or a list read once the factor table exists) or, for
+x and y, one `str.find`.  So `u = x.y.x`, planned as the grounded root
+`u = x.z1` and the child `z1 = y.x`, builds O(n) rows and no factor table.
+An inner node is semi-joined with its parent before its children are
+generated; a leaf is not.  Then the semi-join passes reduce them:
 `model_check` runs the bottom-up pass, `full_reduction` both."""
 from __future__ import annotations
 
@@ -119,12 +125,50 @@ def _suffix_walk(table: list[list[int]], ys: AbstractSet[int],
                     yield at[end - s], at[p - s], y
 
 
+def _pinned_rows(ix: WordIndex, z: Variable, x: Variable, y: Variable, parent: Relation,
+                 keep: AbstractSet[Variable]) -> tuple[tuple[Variable, ...], list[tuple[int, ...]]]:
+    """The rows of `z = x.y` that join with `parent`, which holds two or all
+    three of its variables, generated from the parent's distinct values of
+    them: two fix the third, so each value yields at most one row.  With z
+    and x fixed, y is the rest of z if z starts with x; with z and y, the
+    mirror case; with x and y, z is the two words joined, if it occurs.  The
+    third id is computed only when it is kept or needed to find the row."""
+    pinned = [t for t in (z, x, y) if t in parent.schema]
+    values = set(map(_values([parent.schema.index(t) for t in pinned]), parent.rows))
+    word_of = ix.word_of
+    if len(pinned) == 3:
+        return (z, x, y), [r for r in values if word_of(r[0]) == word_of(r[1]) + word_of(r[2])]
+    if z not in pinned:
+        rows = ((ix.id_of_word(word_of(a) + word_of(b)), a, b) for a, b in values)
+        return (z, x, y), [r for r in rows if r[0] is not None]
+    prefix = x in pinned        # else z ends with y, and x is the rest
+    rest = y if prefix else x
+    out = []
+    for fid, part in values:
+        start, end = ix.occurrence(fid)
+        p_start, p_end = ix.occurrence(part)
+        if p_end - p_start > end - start:
+            continue
+        cut = start + p_end - p_start if prefix else end - p_end + p_start
+        if not ix.occurs_at(part, start if prefix else cut):
+            continue
+        if rest not in keep:
+            out.append((fid, part))
+        elif prefix:
+            out.append((fid, part, ix.factor_at(cut, end)))
+        else:
+            out.append((fid, ix.factor_at(start, cut), part))
+    return (z, x, y) if rest in keep else tuple(pinned), out
+
+
 def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
-          keep: AbstractSet[Variable]) -> tuple[tuple[Variable, ...], Iterable[tuple[int, ...]]]:
+          keep: AbstractSet[Variable], parent: Optional[Relation]
+          ) -> tuple[tuple[Variable, ...], Iterable[tuple[int, ...]]]:
     """The schema of an atom in the planner's normal form and its rows,
-    generated inside `allowed` as `materialize_atom` describes.  A binary
-    equation keeping at most one variable other than `u` yields only that
-    column wherever no cut is needed to find it."""
+    generated inside `allowed`, or from `parent`'s rows, as
+    `materialize_atom` describes.  A binary equation keeping at most one
+    variable other than `u` yields only that column wherever no cut is
+    needed to find it."""
     wid = ix.whole_word_id()
     if isinstance(atom, RegularConstraint):
         if atom.var.is_universe:
@@ -141,6 +185,9 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
         # u = x.x: the word's middle cut.
         root = ix.square_root(wid)
         return (x,), [] if root is None else [(root,)]
+    if parent is not None and not z.is_universe and not square and \
+            len({z, x, y}.intersection(parent.schema)) > 1:
+        return _pinned_rows(ix, z, x, y, parent, keep)
     kept = [t for t in dict.fromkeys((z, x, y)) if t in keep and not t.is_universe]
     if not kept:
         # epsilon satisfies z = x.y, and x = w, y = epsilon satisfies u = x.y.
@@ -180,7 +227,8 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
 
 def materialize_atom(ix: WordIndex, atom,
                      allowed: Optional[dict[Variable, AbstractSet[int]]] = None,
-                     keep: Optional[AbstractSet[Variable]] = None) -> Relation:
+                     keep: Optional[AbstractSet[Variable]] = None,
+                     parent: Optional[Relation] = None) -> Relation:
     """Relation of one atom in the planner's normal form: a regular
     constraint (the factors it accepts), a copy `z = x` (the diagonal), a
     square `z = x.x` (each factor cut at its middle) or a binary `z = x.y`
@@ -193,6 +241,12 @@ def materialize_atom(ix: WordIndex, atom,
     only allowed left sides are cut, and with a free left side the table is
     walked from the allowed occurrences of one right-side variable.
 
+    `parent` is the relation of a join-tree neighbour.  A binary `z = x.y`
+    (not grounded, not a square) that shares two or more variables with it
+    is generated from its rows, and `allowed` is not read: the relation is
+    then exactly the atom's full one semi-joined with `parent`, with at most
+    one row per parent row.  Any other atom ignores `parent`.
+
     The relation is projected onto those of its variables in `keep`, by
     default all of them."""
     if isinstance(atom, SmallEquation) and (
@@ -201,7 +255,7 @@ def materialize_atom(ix: WordIndex, atom,
                          "u only on the left, z not on the right")
     if keep is None:
         keep = {atom.var} if isinstance(atom, RegularConstraint) else atom.variables()
-    return _project(*_rows(ix, atom, allowed or {}, keep), keep)
+    return _project(*_rows(ix, atom, allowed or {}, keep, parent), keep)
 
 
 def semijoin(r: Relation, s: Relation) -> Relation:
@@ -260,11 +314,12 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
     onto `head` and the variables it shares with a join-tree neighbour (sound
     by the join-tree property: a variable two nodes share is kept on the path
     between them) and generated only for the ids its parent's relation
-    allows; with the tree's orientation from that root.  A node with children
-    is semi-joined with its parent before they are generated from it, so rows
-    its generation let through (a grounded or pre-sized node, or one sharing
-    two variables with its parent) never widen theirs; a leaf is left to the
-    semi-join passes."""
+    allows, or from its rows for a binary node sharing two variables with
+    it; with the tree's orientation from that root.  A node with children is
+    semi-joined with its parent before they are generated from it, so rows
+    its generation let through (a grounded or pre-sized node, or one whose
+    parent allows each shared variable's ids but not their combination)
+    never widen theirs; a leaf is left to the semi-join passes."""
     adj = tree.adjacency()
     keeps = [set(head).union(*(tree.var_sets[w] for w in adj[v])) for v in range(len(tree.nodes))]
     sized: dict[int, Relation] = {}
@@ -277,10 +332,12 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
             node = tree.nodes[v]
             # A grounded equation's rows are the word's cuts whatever its parent allows.
             grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
-            allowed = None if p is None or grounded else {
-                x: set(map(itemgetter(i), rels[p].rows))
-                for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
-            rel = materialize_atom(ix, node, allowed, keeps[v])
+            if p is None or grounded:
+                rel = materialize_atom(ix, node, None, keeps[v])
+            else:
+                allowed = {x: set(map(itemgetter(i), rels[p].rows))
+                           for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
+                rel = materialize_atom(ix, node, allowed, keeps[v], rels[p])
         rels[v] = rel if p is None or not children[v] else semijoin(rel, rels[p])
     return rels, order, children, parent
 

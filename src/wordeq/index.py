@@ -7,8 +7,9 @@ when they spell the same word.  A factor's id is its leftmost occurrence,
 ids: `occurrence` is one `divmod`, epsilon is 0, the whole word is n.
 The prefix of length k is its own leftmost occurrence, id k.  The leftmost
 starts of the suffixes (`suffix_ids`, built on first use) come from a few
-`str.find` calls: each finds the leftmost end of one suffix, and the longer
-suffixes that first end there too are filled in with one slice assignment.
+`str.find` calls: each finds the leftmost end of one suffix, and the ids of
+the longer suffixes that first end there too are one `range`, filled in with
+one slice assignment.
 Most words need only a handful of finds; a periodic word like a^n needs one
 per letter, so after 2 * n.bit_length() + 8 finds the index falls back to one
 Z-function pass over the reversed word (Gusfield 1997, ch. 1), O(n) in
@@ -42,7 +43,10 @@ factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side with one
 right side restricted to ids of k distinct lengths walks the table from
 their occurrences, O(n^2 k).  The evaluator asks for the cuts only of an atom
 that keeps two or more of its variables; one that keeps at most one lists
-factors, O(n^2), and so does not call `splits` at all.
+factors, O(n^2), and so does not call `splits` at all.  An atom whose parent
+fixes two of its variables needs no cut and no table: per parent row one
+`occurs_at` (a `startswith`, or one list read once the table exists) and at
+most one `factor_at` or `id_of_word`.
 """
 from __future__ import annotations
 
@@ -110,25 +114,33 @@ def _z_suffix_starts(word: str) -> list[int]:
     return starts
 
 
-def leftmost_suffix_starts(word: str) -> list[int]:
-    """starts[m] = the leftmost start of the suffix of length m.
+def leftmost_suffix_starts(word: str, ids: bool = False) -> list[int]:
+    """starts[m] = the leftmost start of the suffix of length m; with `ids`,
+    the suffix's id, start * (n + 1) + m, instead.
 
     The leftmost end of the suffix of length m never decreases as m grows.
     One `str.find` from the previous end gives it, E; a gallop and a binary
     search with `str.endswith` give the longest common suffix L of `word[:E]`
     and `word`, and every length from m to L first ends at E.  At E = n no
     longer suffix repeats, and it starts where it stands.  So each find, a
-    scan in C, covers a run of lengths.  A word with many runs (a^n has n)
-    falls back to the Z-function pass after 2 * n.bit_length() + 8 finds."""
+    scan in C, covers a run of lengths, and the run's starts (or ids) are one
+    `range`: E - m down to E - L (or E * (n + 1) - m * n down in steps of n).
+    A word with many runs (a^n has n) falls back to the Z-function pass after
+    2 * n.bit_length() + 8 finds."""
     n = len(word)
-    starts = list(range(n, -1, -1))
-    starts[0] = 0                   # epsilon first occurs at 0
+    if not n:
+        return [0]
+    # The key of the suffix of length m starting at E - m is E * scale - m * step.
+    scale, step = (n + 1, n) if ids else (1, 1)
+    keys = list(range(n * scale, n * scale - (n + 1) * step, -step))
+    keys[0] = 0                     # epsilon first occurs at 0
     finds = 2 * n.bit_length() + 8
     m, end = 1, 0
     while m <= n:
         finds -= 1
         if finds < 0:
-            return _z_suffix_starts(word)
+            starts = _z_suffix_starts(word)
+            return list(map(add, map(mul, starts, repeat(scale)), range(n + 1))) if ids else starts
         end = word.find(word[n - m:], max(end - m, 0)) + m
         if end == n:
             break
@@ -144,9 +156,9 @@ def leftmost_suffix_starts(word: str) -> list[int]:
                 lo = mid
             else:
                 hi = mid
-        starts[m:lo + 1] = range(end - m, end - lo - 1, -1)
+        keys[m:lo + 1] = range(end * scale - m * step, end * scale - (lo + 1) * step, -step)
         m = lo + 1
-    return starts
+    return keys
 
 
 class WordIndex:
@@ -176,8 +188,7 @@ class WordIndex:
         """`suffix_ids()[m]` is the id of the suffix of length m, built once;
         callers must not modify it."""
         if self._suffixes is None:
-            starts = leftmost_suffix_starts(self.word)
-            self._suffixes = list(map(add, map(mul, starts, repeat(self._stride)), range(self.n + 1)))
+            self._suffixes = leftmost_suffix_starts(self.word, ids=True)
         return self._suffixes
 
     def _whole_word_cuts(self) -> list[tuple[int, int]]:
@@ -201,6 +212,14 @@ class WordIndex:
         if self._table is not None:
             return self._table[i][j - i]
         return self.word.find(self.word[i:j], 0, j) * self._stride + j - i
+
+    def occurs_at(self, fid: int, i: int) -> bool:
+        """Whether word(fid) occurs at offset i (0-based): one list read with
+        the factor table, one `str.startswith` without it."""
+        start, end = self.occurrence(fid)
+        if self._table is not None:
+            return end - start <= self.n - i and self._table[i][end - start] == fid
+        return self.word.startswith(self.word[start:end], i)
 
     def id_of_word(self, factor: str) -> Optional[int]:
         at = self.word.find(factor)

@@ -302,16 +302,94 @@ class TestRestrictedMaterialize:
     ])
     def test_grandchild_rows_stay_quadratic(self, ab, monkeypatch, text):
         """`z1 = y.x` shares two variables with its grounded parent
-        `u = x.z1`: generated, it holds ~n^2/2 rows, of which n + 1 survive
-        the parent.  Its child `y = a.b` is generated from the survivors'
-        ys, so 200 letters materialize fewer than 2 n^2 rows, not the ~n^3/6
-        of cutting every factor."""
+        `u = x.z1`, so it is generated from the parent's n + 1 rows: one row
+        for each prefix x that is also a suffix (a border of the word).  Its
+        child `y = a.b` is cut only at the few middles y those leave, so 200
+        letters materialize fewer than 10 n rows, not the ~n^2/2 of cutting
+        every allowed z1 or the ~n^3/6 of cutting every factor."""
         n = 200
         rng = random.Random(1)
         w = "".join(rng.choice("ab") for _ in range(n))
         p = plan(parse_query(text, ab))
         rows = self._rows_materialized(monkeypatch, lambda: list(enumerate_results(p, build_index(w))))
-        assert 0 < rows < 2 * n * n
+        assert 0 < rows < 10 * n
+
+
+class TestPinnedMaterialize:
+    """A binary `z = x.y` that shares two or three variables with its parent
+    is generated from the parent's rows."""
+
+    XYZ = (v("x"), v("y"), v("z"))
+
+    @pytest.mark.parametrize("pins", ["zx", "zy", "xy", "zxy"])
+    def test_is_the_full_relation_semijoined_with_the_parent(self, pins):
+        """For every `keep`, the relation is the atom's full relation
+        semi-joined with the parent and projected onto `keep`; when `keep`
+        holds the shared variables, as in a join tree, that is the projected
+        full relation semi-joined with the parent.  The parent holds a random
+        part of the values that match, random ids that mostly do not, and a
+        column the atom lacks.  Every other word has its factor table built
+        first, so both the list reads and the string compares are checked."""
+        rng = random.Random(len(pins) * 10 + ord(pins[-1]))
+        atom = SmallEquation(v("z"), (v("x"), v("y")))
+        names = tuple(v(t) for t in pins)
+        for k, w in enumerate(all_words("ab", 7)):
+            full = materialize_atom(build_index(w), atom)
+            ids = build_index(w).all_factor_ids()
+            matching = sorted(project(full, names).rows)
+            values = rng.sample(matching, rng.randint(0, len(matching)))
+            values += [tuple(rng.choice(ids) for _ in names) for _ in range(3)]
+            parent = Relation((*names, v("q")), frozenset(
+                (*row, rng.choice(ids)) for row in values for _ in range(rng.randint(1, 2))))
+            ix = build_index(w)
+            if k % 2:
+                ix.factor_table()
+            for mask in range(1 << 3):
+                keep = {x for i, x in enumerate(self.XYZ) if mask >> i & 1}
+                got = materialize_atom(ix, atom, keep=keep, parent=parent)
+                assert got == project(semijoin(full, parent), keep), (w, pins, keep)
+                if set(names) <= keep:
+                    assert got == semijoin(materialize_atom(ix, atom, keep=keep), parent), (w, keep)
+
+    def test_other_atoms_ignore_the_parent(self, ab):
+        """Every other atom shape, and a binary atom sharing one variable
+        with the parent, is generated exactly as it is without one."""
+        rng = random.Random(5)
+        atoms = reference_atoms(ab)
+        x, y, z = self.XYZ
+        for w in all_words("ab", 5):
+            ids = build_index(w).all_factor_ids()
+            for atom in atoms:
+                names = atom_variables(atom)
+                schema = (x, v("q")) if atom == SmallEquation(z, (x, y)) else (*names, v("q"))
+                parent = Relation(schema, frozenset(
+                    tuple(rng.choice(ids) for _ in schema) for _ in range(4)))
+                allowed = {n: set(rng.sample(ids, rng.randint(0, len(ids)))) for n in names[:1]}
+                for keep in (set(), set(names)):
+                    ix = build_index(w)
+                    assert materialize_atom(ix, atom, allowed, keep, parent) == \
+                        materialize_atom(ix, atom, allowed, keep), (w, atom)
+
+    def test_border_query_builds_no_factor_table(self, ab, monkeypatch):
+        """`check` and `enum` of `u = x.y.x` on 4000 letters read the root's
+        n + 1 cuts and test each with one `startswith`; the ~n^2/2 factor
+        table, which cutting every allowed z1 of `z1 = y.x` needs, is never
+        built.  The answers are the word's borders x with their middles y."""
+        from wordeq.index import WordIndex
+
+        def no_table(self):
+            raise AssertionError("the factor table was built")
+
+        monkeypatch.setattr(WordIndex, "factor_table", no_table)
+        rng = random.Random(0)
+        w = "".join(rng.choice("ab") for _ in range(4000))
+        assert model_check(plan(parse_query("ans() :- u = x.y.x", ab)), build_index(w))
+        ix = build_index(w)
+        got = {(r.words(ix)["x"], r.words(ix)["y"])
+               for r in enumerate_results(plan(parse_query("ans(x,y) :- u = x.y.x", ab)), ix)}
+        n = len(w)
+        assert got == {(w[:k], w[k:n - k]) for k in range(n // 2 + 1) if w[:k] == w[n - k:]}
+        assert len(got) == 3
 
 
 class TestProjectedMaterialize:
@@ -745,3 +823,58 @@ class TestWidenedDifferential:
                     assert rendered == sorted(json.dumps(r.to_json_obj(ix))
                                               for r in brute_results(q, ix)), (q, prefactor, w)
         assert all(shapes.values()), shapes
+
+
+def reversed_query(text: str) -> str:
+    """The query with every right side reversed (its equations only)."""
+    head, body = text.split(" :- ")
+    atoms = []
+    for atom in body.split(", "):
+        lhs, rhs = atom.split(" = ")
+        atoms.append(f"{lhs} = {'.'.join(reversed(rhs.split('.')))}")
+    return f"{head} :- {', '.join(atoms)}"
+
+
+class TestReversal:
+    """Metamorphic checks on words too long for the oracle (Chen, Cheung &
+    Yiu 1998): reversing the word and every right side reverses each answer
+    word, and `check` agrees with `enum`.  Each query meets a child that
+    shares two variables with its parent, generated from the parent's rows;
+    its reverse often meets another path.  `u = x.x.y.x` pins a child's
+    left side and prefix, its reverse `u = x.y.x.x` the left side and
+    suffix; `u = x.x.y` pins a prefix, and its reverse has a square child
+    instead; `u = x.y.z.x` pins an inner node."""
+
+    QUERIES = [
+        ("ans(x,y) :- u = x.y.x", 120),
+        ("ans(x,y) :- u = x.x.y", 120),
+        ("ans(x,y) :- u = y.x.y", 120),
+        ("ans(x,y) :- u = x.x.y.x", 120),
+        ("ans(x,y,z) :- u = x.y.z.x", 120),
+        # The free root z = x.y is cut at every cut of every factor, ~n^3/6 rows.
+        ("ans(x,y) :- z = x.y, w = y.x", 57),
+    ]
+
+    @staticmethod
+    def words() -> list[str]:
+        rng = random.Random(3)
+        out = []
+        for n in (20, 57, 120):
+            out += ["".join(rng.choice("ab") for _ in range(n)), ("ab" * n)[:n], "a" * n]
+        return out
+
+    @staticmethod
+    def answers(p, w: str) -> set[tuple[str, ...]]:
+        ix = build_index(w)
+        return {tuple(r.words(ix)[h.name] for h in p.query.head) for r in enumerate_results(p, ix)}
+
+    @pytest.mark.parametrize("text, max_len", QUERIES)
+    def test_reversed_word_and_query_reverse_the_answers(self, ab, text, max_len):
+        forward = plan(parse_query(text, ab))
+        backward = plan(parse_query(reversed_query(text), ab))
+        boolean = plan(parse_query("ans() :- " + text.split(" :- ")[1], ab))
+        for w in (w for w in self.words() if len(w) <= max_len):
+            got = self.answers(forward, w)
+            assert self.answers(backward, w[::-1]) == {tuple(s[::-1] for s in a) for a in got}, (text, w)
+            assert model_check(boolean, build_index(w)) == bool(got), (text, w)
+            assert model_check(forward, build_index(w)) == bool(got), (text, w)

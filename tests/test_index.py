@@ -126,6 +126,18 @@ class TestFactorTable:
             assert all(ix.word_of(ix.factor_at(i, j)) == w[i:j]
                        for i in range(n + 1) for j in range(i, n + 1)), w
 
+    def test_occurs_at(self):
+        """`occurs_at` with and without the factor table agrees with slicing
+        the word, for every factor at every offset."""
+        for w in all_words("ab", 6):
+            ix, bare = build_index(w), build_index(w)
+            n = len(w)
+            for fid in ix.all_factor_ids():
+                word = ix.word_of(fid)
+                for i in range(n + 1):
+                    expected = w[i:i + len(word)] == word
+                    assert ix.occurs_at(fid, i) == bare.occurs_at(fid, i) == expected, (w, fid, i)
+
 
 class TestIdsAreKeys:
     """An id is the key of its factor's leftmost occurrence, start * (n + 1)
@@ -225,6 +237,25 @@ class TestSuffixStarts:
         for w in ("a" * n, ("ab" * n)[:n], "b" + "a" * (n - 1), "a" * (n - 1) + "b",
                   fibonacci_word(n), h + h + h):
             self.check(w)
+
+    @staticmethod
+    def check_ids(w: str) -> None:
+        """The suffix ids, filled a run at a time, against one `str.find`
+        per suffix."""
+        n = len(w)
+        ix = build_index(w)
+        assert ix.suffix_ids() == [ix.factor_at(n - m, n) for m in range(n + 1)], w
+
+    def test_suffix_ids_of_every_short_word(self):
+        for w in all_words("ab", 14):
+            self.check_ids(w)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_suffix_ids_of_periodic_words(self, n):
+        h = "".join(random.Random(n).choice("ab") for _ in range(n // 3))
+        for w in ("a" * n, ("ab" * n)[:n], "b" + "a" * (n - 1), "a" * (n - 1) + "b",
+                  fibonacci_word(n), h + h + h):
+            self.check_ids(w)
 
     def test_z_function_only_past_the_budget(self, monkeypatch):
         """A uniform word and its square take only the finds; a^n, one run
