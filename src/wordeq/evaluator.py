@@ -22,12 +22,15 @@ relation is `{()}`.  So `check` of `x = y.z` builds one row, not ~n^3/6.
 Relations are generated from the join tree's most selective node outward, in
 BFS order, each child only for the ids its parent's rows allow, so dangling
 tuples are mostly never built.  A binary child `z = x.y` that shares two or
-three variables with its parent is generated from the parent's rows instead
-(Yannakakis: generate only what the semi-join keeps): two of its variables
-fix the third, so each distinct parent value yields at most one row, found
-with one `startswith` (or a list read once the factor table exists) or, for
-x and y, one `str.find`.  So `u = x.y.x`, planned as the grounded root
-`u = x.z1` and the child `z1 = y.x`, builds O(n) rows and no factor table.
+three variables with a parent of at most n + 1 rows is generated from the
+parent's rows instead (Yannakakis: generate only what the semi-join keeps):
+two of its variables fix the third, so each distinct parent value yields at
+most one row, found with one `startswith` (or a list read once the factor
+table exists) or, for x and y, one `str.find`.  So `u = x.y.x`, planned as
+the grounded root `u = x.z1` and the child `z1 = y.x`, builds O(n) rows and
+no factor table.  A larger parent was cut from the factor table, and cutting
+the child's allowed ids with list reads is then faster than a string test
+per parent row.
 An inner node is semi-joined with its parent before its children are
 generated; a leaf is not.  Then the semi-join passes reduce them:
 `model_check` runs the bottom-up pass, `full_reduction` both."""
@@ -185,8 +188,8 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
         # u = x.x: the word's middle cut.
         root = ix.square_root(wid)
         return (x,), [] if root is None else [(root,)]
-    if parent is not None and not z.is_universe and not square and \
-            len({z, x, y}.intersection(parent.schema)) > 1:
+    if (parent is not None and not z.is_universe and not square
+            and len({z, x, y}.intersection(parent.schema)) > 1):
         return _pinned_rows(ix, z, x, y, parent, keep)
     kept = [t for t in dict.fromkeys((z, x, y)) if t in keep and not t.is_universe]
     if not kept:
@@ -315,7 +318,8 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
     by the join-tree property: a variable two nodes share is kept on the path
     between them) and generated only for the ids its parent's relation
     allows, or from its rows for a binary node sharing two variables with
-    it; with the tree's orientation from that root.  A node with children is
+    a parent of at most n + 1 rows; with the tree's orientation from that
+    root.  A node with children is
     semi-joined with its parent before they are generated from it, so rows
     its generation let through (a grounded or pre-sized node, or one whose
     parent allows each shared variable's ids but not their combination)
@@ -337,7 +341,11 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
             else:
                 allowed = {x: set(map(itemgetter(i), rels[p].rows))
                            for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
-                rel = materialize_atom(ix, node, allowed, keeps[v], rels[p])
+                # A parent with more rows than the word has cuts was cut from
+                # the factor table, and list reads cut the allowed ids faster
+                # than a string test per parent row.
+                few = len(rels[p].rows) <= ix.n + 1
+                rel = materialize_atom(ix, node, allowed, keeps[v], rels[p] if few else None)
         rels[v] = rel if p is None or not children[v] else semijoin(rel, rels[p])
     return rels, order, children, parent
 

@@ -367,8 +367,31 @@ class TestPinnedMaterialize:
                 allowed = {n: set(rng.sample(ids, rng.randint(0, len(ids)))) for n in names[:1]}
                 for keep in (set(), set(names)):
                     ix = build_index(w)
-                    assert materialize_atom(ix, atom, allowed, keep, parent) == \
-                        materialize_atom(ix, atom, allowed, keep), (w, atom)
+                    alone = materialize_atom(ix, atom, allowed, keep)
+                    assert materialize_atom(ix, atom, allowed, keep, parent) == alone, (w, atom)
+
+    @pytest.mark.parametrize("text, pinned", [
+        ("ans() :- u = x.y, w = y.x", True),    # the root's n + 1 cuts
+        ("ans() :- z = x.y, w = y.x", False),   # the root's ~n^3/6 cuts
+    ])
+    def test_only_a_parent_with_few_rows_pins_its_child(self, ab, monkeypatch, text, pinned):
+        """In the join tree a child is generated from its parent's rows only
+        when the parent has at most n + 1 of them; a larger parent was cut
+        from the factor table, and its child's allowed ids are cut."""
+        from wordeq import evaluator
+        calls = []
+        original = evaluator._pinned_rows
+
+        def counted(*args):
+            calls.append(args[4])
+            return original(*args)
+
+        monkeypatch.setattr(evaluator, "_pinned_rows", counted)
+        rng = random.Random(4)
+        w = "".join(rng.choice("ab") for _ in range(40))
+        assert model_check(plan(parse_query(text, ab)), build_index(w))
+        assert bool(calls) == pinned
+        assert all(len(parent.rows) <= len(w) + 1 for parent in calls)
 
     def test_border_query_builds_no_factor_table(self, ab, monkeypatch):
         """`check` and `enum` of `u = x.y.x` on 4000 letters read the root's
@@ -838,12 +861,13 @@ def reversed_query(text: str) -> str:
 class TestReversal:
     """Metamorphic checks on words too long for the oracle (Chen, Cheung &
     Yiu 1998): reversing the word and every right side reverses each answer
-    word, and `check` agrees with `enum`.  Each query meets a child that
-    shares two variables with its parent, generated from the parent's rows;
-    its reverse often meets another path.  `u = x.x.y.x` pins a child's
+    word, and `check` agrees with `enum`.  Each query but the last meets a
+    child that shares two variables with its parent, generated from the
+    parent's rows; its reverse often meets another path.  `u = x.x.y.x` pins a child's
     left side and prefix, its reverse `u = x.y.x.x` the left side and
     suffix; `u = x.x.y` pins a prefix, and its reverse has a square child
-    instead; `u = x.y.z.x` pins an inner node."""
+    instead; `u = x.y.z.x` pins an inner node; `u = x.y, w = y.x` pins both
+    right-side variables of w = y.x."""
 
     QUERIES = [
         ("ans(x,y) :- u = x.y.x", 120),
@@ -851,7 +875,9 @@ class TestReversal:
         ("ans(x,y) :- u = y.x.y", 120),
         ("ans(x,y) :- u = x.x.y.x", 120),
         ("ans(x,y,z) :- u = x.y.z.x", 120),
-        # The free root z = x.y is cut at every cut of every factor, ~n^3/6 rows.
+        ("ans(x,y) :- u = x.y, w = y.x", 120),
+        # The free root z = x.y is cut at every cut of every factor, ~n^3/6
+        # rows, so w = y.x is cut at its allowed ids instead.
         ("ans(x,y) :- z = x.y, w = y.x", 57),
     ]
 
