@@ -364,7 +364,8 @@ class TestPinnedMaterialize:
                 schema = (x, v("q")) if atom == SmallEquation(z, (x, y)) else (*names, v("q"))
                 parent = Relation(schema, frozenset(
                     tuple(rng.choice(ids) for _ in schema) for _ in range(4)))
-                allowed = {n: set(rng.sample(ids, rng.randint(0, len(ids)))) for n in names[:1]}
+                allowed = {name: set(rng.sample(ids, rng.randint(0, len(ids))))
+                           for name in names[:1]}
                 for keep in (set(), set(names)):
                     ix = build_index(w)
                     alone = materialize_atom(ix, atom, allowed, keep)
@@ -863,11 +864,11 @@ class TestReversal:
     Yiu 1998): reversing the word and every right side reverses each answer
     word, and `check` agrees with `enum`.  Each query but the last meets a
     child that shares two variables with its parent, generated from the
-    parent's rows; its reverse often meets another path.  `u = x.x.y.x` pins a child's
-    left side and prefix, its reverse `u = x.y.x.x` the left side and
-    suffix; `u = x.x.y` pins a prefix, and its reverse has a square child
-    instead; `u = x.y.z.x` pins an inner node; `u = x.y, w = y.x` pins both
-    right-side variables of w = y.x."""
+    parent's rows; its reverse often meets another path.  `u = x.x.y.x`
+    pins a child's left side and prefix, its reverse `u = x.y.x.x` the left
+    side and suffix; `u = x.x.y` pins a prefix, and its reverse has a square
+    child instead; `u = x.y.z.x` pins an inner node; `u = x.y, w = y.x`
+    pins both right-side variables of w = y.x."""
 
     QUERIES = [
         ("ans(x,y) :- u = x.y.x", 120),
@@ -901,6 +902,7 @@ class TestReversal:
         boolean = plan(parse_query("ans() :- " + text.split(" :- ")[1], ab))
         for w in (w for w in self.words() if len(w) <= max_len):
             got = self.answers(forward, w)
-            assert self.answers(backward, w[::-1]) == {tuple(s[::-1] for s in a) for a in got}, (text, w)
+            reversed_answers = {tuple(s[::-1] for s in a) for a in got}
+            assert self.answers(backward, w[::-1]) == reversed_answers, (text, w)
             assert model_check(boolean, build_index(w)) == bool(got), (text, w)
             assert model_check(forward, build_index(w)) == bool(got), (text, w)
