@@ -21,19 +21,21 @@ relation is `{()}`.  So `check` of `x = y.z` builds one row, not ~n^3/6.
 
 Relations are generated from the join tree's most selective node outward, in
 BFS order, each child only for the ids its parent's rows allow, so dangling
-tuples are mostly never built.  A binary child `z = x.y` that shares two or
-three variables with a parent of at most n + 1 rows is generated from the
-parent's rows instead (Yannakakis: generate only what the semi-join keeps):
-two of its variables fix the third, so each distinct parent value yields at
-most one row, found with one `startswith` (or a list read once the factor
-table exists) or, for x and y, one `str.find`.  So `u = x.y.x`, planned as
-the grounded root `u = x.z1` and the child `z1 = y.x`, builds O(n) rows and
-no factor table.  A larger parent was cut from the factor table, and cutting
-the child's allowed ids with list reads is then faster than a string test
-per parent row.
-An inner node is semi-joined with its parent before its children are
-generated; a leaf is not.  Then the semi-join passes reduce them:
-`model_check` runs the bottom-up pass, `full_reduction` both."""
+tuples are mostly never built.  A binary child `z = x.y` that shares z and
+one or both of x and y with its parent is generated from the parent's rows
+instead (Yannakakis: generate only what the semi-join keeps): two of its
+variables fix the third, so each distinct parent value yields at most one
+row, found with one `startswith` (or a list read once the factor table
+exists).  So `u = x.y.x`, planned as the grounded root `u = x.z1` and the
+child `z1 = y.x`, builds O(n) rows and no factor table.  A child sharing x
+and y alone finds z with one `str.find` over the word per parent value, so
+it is generated that way only under a parent of at most n + 1 rows; a larger
+parent was cut from the factor table, and cutting the child's allowed z with
+list reads is then faster.
+An inner node not generated from its parent's rows is semi-joined with them
+before its children are generated; a leaf is not.  Then the semi-join
+passes reduce them: `model_check` runs the bottom-up pass, `full_reduction`
+both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -164,14 +166,26 @@ def _pinned_rows(ix: WordIndex, z: Variable, x: Variable, y: Variable, parent: R
     return (z, x, y) if rest in keep else tuple(pinned), out
 
 
+def _pins(ix: WordIndex, atom, parent: Relation) -> bool:
+    """Whether `materialize_atom` generates `atom` from `parent`'s rows: a
+    binary `z = x.y`, not grounded and not a square, that shares z and one
+    or both of x and y with it, or x and y alone with a parent of at most
+    n + 1 rows (see the module docstring)."""
+    if not isinstance(atom, SmallEquation) or len(atom.rhs) != 2:
+        return False
+    z, (x, y) = atom.lhs, atom.rhs
+    shared = {z, x, y}.intersection(parent.schema)
+    if z.is_universe or x == y or len(shared) < 2:
+        return False
+    return z in shared or len(parent.rows) <= ix.n + 1
+
+
 def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
-          keep: AbstractSet[Variable], parent: Optional[Relation]
-          ) -> tuple[tuple[Variable, ...], Iterable[tuple[int, ...]]]:
+          keep: AbstractSet[Variable]) -> tuple[tuple[Variable, ...], Iterable[tuple[int, ...]]]:
     """The schema of an atom in the planner's normal form and its rows,
-    generated inside `allowed`, or from `parent`'s rows, as
-    `materialize_atom` describes.  A binary equation keeping at most one
-    variable other than `u` yields only that column wherever no cut is
-    needed to find it."""
+    generated inside `allowed` as `materialize_atom` describes.  A binary
+    equation keeping at most one variable other than `u` yields only that
+    column wherever no cut is needed to find it."""
     wid = ix.whole_word_id()
     if isinstance(atom, RegularConstraint):
         if atom.var.is_universe:
@@ -188,9 +202,6 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
         # u = x.x: the word's middle cut.
         root = ix.square_root(wid)
         return (x,), [] if root is None else [(root,)]
-    if (parent is not None and not z.is_universe and not square
-            and len({z, x, y}.intersection(parent.schema)) > 1):
-        return _pinned_rows(ix, z, x, y, parent, keep)
     kept = [t for t in dict.fromkeys((z, x, y)) if t in keep and not t.is_universe]
     if not kept:
         # epsilon satisfies z = x.y, and x = w, y = epsilon satisfies u = x.y.
@@ -244,11 +255,12 @@ def materialize_atom(ix: WordIndex, atom,
     only allowed left sides are cut, and with a free left side the table is
     walked from the allowed occurrences of one right-side variable.
 
-    `parent` is the relation of a join-tree neighbour.  A binary `z = x.y`
-    (not grounded, not a square) that shares two or more variables with it
-    is generated from its rows, and `allowed` is not read: the relation is
-    then exactly the atom's full one semi-joined with `parent`, with at most
-    one row per parent row.  Any other atom ignores `parent`.
+    `parent`, the relation of a join-tree neighbour, is given instead of
+    `allowed`.  A binary `z = x.y` that shares two or more variables with
+    it (as `_pins` says) is generated from its rows: the relation is then
+    exactly the atom's full one semi-joined with `parent`, with at most one
+    row per parent row.  Any other atom is generated inside the ids the
+    parent's columns allow.
 
     The relation is projected onto those of its variables in `keep`, by
     default all of them."""
@@ -256,9 +268,18 @@ def materialize_atom(ix: WordIndex, atom,
             len(atom.rhs) > 2 or atom.lhs in atom.rhs or any(x.is_universe for x in atom.rhs)):
         raise ValueError(f"{atom} is outside the planner's normal form: z = x or z = x.y, "
                          "u only on the left, z not on the right")
+    names = {atom.var} if isinstance(atom, RegularConstraint) else atom.variables()
     if keep is None:
-        keep = {atom.var} if isinstance(atom, RegularConstraint) else atom.variables()
-    return _project(*_rows(ix, atom, allowed or {}, keep, parent), keep)
+        keep = names
+    if parent is None:
+        return _project(*_rows(ix, atom, allowed or {}, keep), keep)
+    if allowed is not None:
+        raise ValueError("give materialize_atom `allowed` or `parent`, not both")
+    if _pins(ix, atom, parent):
+        return _project(*_pinned_rows(ix, atom.lhs, *atom.rhs, parent, keep), keep)
+    allowed = {x: set(map(itemgetter(i), parent.rows))
+               for i, x in enumerate(parent.schema) if x in names}
+    return _project(*_rows(ix, atom, allowed, keep), keep)
 
 
 def semijoin(r: Relation, s: Relation) -> Relation:
@@ -317,13 +338,13 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
     onto `head` and the variables it shares with a join-tree neighbour (sound
     by the join-tree property: a variable two nodes share is kept on the path
     between them) and generated only for the ids its parent's relation
-    allows, or from its rows for a binary node sharing two variables with
-    a parent of at most n + 1 rows; with the tree's orientation from that
-    root.  A node with children is
-    semi-joined with its parent before they are generated from it, so rows
-    its generation let through (a grounded or pre-sized node, or one whose
-    parent allows each shared variable's ids but not their combination)
-    never widen theirs; a leaf is left to the semi-join passes."""
+    allows, or from its rows for a binary node that `_pins` to it; with the
+    tree's orientation from that root.  A node with children that was not
+    generated from its parent's rows is semi-joined with them before its
+    children are generated from it, so rows its generation let through (a
+    grounded or pre-sized node, or one whose parent allows each shared
+    variable's ids but not their combination) never widen theirs; a leaf is
+    left to the semi-join passes."""
     adj = tree.adjacency()
     keeps = [set(head).union(*(tree.var_sets[w] for w in adj[v])) for v in range(len(tree.nodes))]
     sized: dict[int, Relation] = {}
@@ -336,17 +357,11 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
             node = tree.nodes[v]
             # A grounded equation's rows are the word's cuts whatever its parent allows.
             grounded = isinstance(node, SmallEquation) and node.lhs.is_universe
-            if p is None or grounded:
-                rel = materialize_atom(ix, node, None, keeps[v])
-            else:
-                allowed = {x: set(map(itemgetter(i), rels[p].rows))
-                           for i, x in enumerate(rels[p].schema) if x in tree.var_sets[v]}
-                # A parent with more rows than the word has cuts was cut from
-                # the factor table, and list reads cut the allowed ids faster
-                # than a string test per parent row.
-                few = len(rels[p].rows) <= ix.n + 1
-                rel = materialize_atom(ix, node, allowed, keeps[v], rels[p] if few else None)
-        rels[v] = rel if p is None or not children[v] else semijoin(rel, rels[p])
+            rel = materialize_atom(ix, node, keep=keeps[v],
+                                   parent=None if p is None or grounded else rels[p])
+        # A node generated from its parent's rows already equals its semi-join with them.
+        done = p is None or not children[v] or _pins(ix, tree.nodes[v], rels[p])
+        rels[v] = rel if done else semijoin(rel, rels[p])
     return rels, order, children, parent
 
 

@@ -114,35 +114,29 @@ def _z_suffix_starts(word: str) -> list[int]:
     return starts
 
 
-def leftmost_suffix_starts(word: str, ids: bool = False) -> list[int]:
-    """starts[m] = the leftmost start of the suffix of length m; with `ids`,
-    the suffix's id, start * (n + 1) + m, instead.
+def _suffix_runs(word: str) -> Optional[list[tuple[int, int, int]]]:
+    """The runs (m, L, E) of suffix lengths m..L that all first end at E, in
+    order of m from 1, the last one up to L = n at E = n; or None once
+    2 * n.bit_length() + 8 finds have not found them all.
 
     The leftmost end of the suffix of length m never decreases as m grows.
     One `str.find` from the previous end gives it, E; a gallop and a binary
     search with `str.endswith` give the longest common suffix L of `word[:E]`
     and `word`, and every length from m to L first ends at E.  At E = n no
     longer suffix repeats, and it starts where it stands.  So each find, a
-    scan in C, covers a run of lengths, and the run's starts (or ids) are one
-    `range`: E - m down to E - L (or E * (n + 1) - m * n down in steps of n).
-    A word with many runs (a^n has n) falls back to the Z-function pass after
-    2 * n.bit_length() + 8 finds."""
+    scan in C, covers a run of lengths; a word with many runs (a^n has n)
+    runs out of finds."""
     n = len(word)
-    if not n:
-        return [0]
-    # The key of the suffix of length m starting at E - m is E * scale - m * step.
-    scale, step = (n + 1, n) if ids else (1, 1)
-    keys = list(range(n * scale, n * scale - (n + 1) * step, -step))
-    keys[0] = 0                     # epsilon first occurs at 0
+    runs = []
     finds = 2 * n.bit_length() + 8
     m, end = 1, 0
     while m <= n:
         finds -= 1
         if finds < 0:
-            starts = _z_suffix_starts(word)
-            return list(map(add, map(mul, starts, repeat(scale)), range(n + 1))) if ids else starts
+            return None
         end = word.find(word[n - m:], max(end - m, 0)) + m
         if end == n:
+            runs.append((m, n, n))
             break
         # The longest common suffix of word[:end] and word: the suffix of
         # length lo is common, and once the gallop stops that of hi is not.
@@ -156,9 +150,15 @@ def leftmost_suffix_starts(word: str, ids: bool = False) -> list[int]:
                 lo = mid
             else:
                 hi = mid
-        keys[m:lo + 1] = range(end * scale - m * step, end * scale - (lo + 1) * step, -step)
+        runs.append((m, lo, end))
         m = lo + 1
-    return keys
+    return runs
+
+
+def leftmost_suffix_starts(word: str) -> list[int]:
+    """starts[m] = the leftmost start of the suffix of length m, read off
+    `WordIndex.suffix_ids`."""
+    return list(map(floordiv, WordIndex(word).suffix_ids(), repeat(len(word) + 1)))
 
 
 class WordIndex:
@@ -186,9 +186,22 @@ class WordIndex:
 
     def suffix_ids(self) -> list[int]:
         """`suffix_ids()[m]` is the id of the suffix of length m, built once;
-        callers must not modify it."""
+        callers must not modify it.  Each of `_suffix_runs` is one slice
+        assignment of a `range`; a word with too many runs falls back to the
+        Z-function pass."""
         if self._suffixes is None:
-            self._suffixes = leftmost_suffix_starts(self.word, ids=True)
+            n, stride = self.n, self._stride
+            runs = _suffix_runs(self.word)
+            if runs is None:
+                starts = _z_suffix_starts(self.word)
+                ids = list(map(add, map(mul, starts, repeat(stride)), range(n + 1)))
+            else:
+                # The id of the suffix of length m at E - m is E * (n + 1) - m * n,
+                # so each run's ids step down by n.
+                ids = [0] * (n + 1)
+                for m, last, end in runs:
+                    ids[m:last + 1] = range(end * stride - m * n, end * stride - (last + 1) * n, -n)
+            self._suffixes = ids
         return self._suffixes
 
     def _whole_word_cuts(self) -> list[tuple[int, int]]:

@@ -328,7 +328,8 @@ class TestPinnedMaterialize:
         holds the shared variables, as in a join tree, that is the projected
         full relation semi-joined with the parent.  The parent holds a random
         part of the values that match, random ids that mostly do not, and a
-        column the atom lacks.  Every other word has its factor table built
+        column the atom lacks, in at most n + 1 rows when it holds x and y
+        alone.  Every other word has its factor table built
         first, so both the list reads and the string compares are checked."""
         rng = random.Random(len(pins) * 10 + ord(pins[-1]))
         atom = SmallEquation(v("z"), (v("x"), v("y")))
@@ -339,8 +340,10 @@ class TestPinnedMaterialize:
             matching = sorted(project(full, names).rows)
             values = rng.sample(matching, rng.randint(0, len(matching)))
             values += [tuple(rng.choice(ids) for _ in names) for _ in range(3)]
-            parent = Relation((*names, v("q")), frozenset(
-                (*row, rng.choice(ids)) for row in values for _ in range(rng.randint(1, 2))))
+            rows = sorted({(*row, rng.choice(ids)) for row in values for _ in range(rng.randint(1, 2))})
+            if pins == "xy":    # x and y alone pin only under a parent of at most n + 1 rows
+                rows = rng.sample(rows, min(len(rows), len(w) + 1))
+            parent = Relation((*names, v("q")), frozenset(rows))
             ix = build_index(w)
             if k % 2:
                 ix.factor_table()
@@ -351,9 +354,11 @@ class TestPinnedMaterialize:
                 if set(names) <= keep:
                     assert got == semijoin(materialize_atom(ix, atom, keep=keep), parent), (w, keep)
 
-    def test_other_atoms_ignore_the_parent(self, ab):
+    def test_other_atoms_read_the_parent_as_allowed_ids(self, ab):
         """Every other atom shape, and a binary atom sharing one variable
-        with the parent, is generated exactly as it is without one."""
+        with the parent, is generated exactly as with `allowed` holding each
+        of its variables' ids in the parent's rows.  `allowed` and `parent`
+        together are refused."""
         rng = random.Random(5)
         atoms = reference_atoms(ab)
         x, y, z = self.XYZ
@@ -363,22 +368,28 @@ class TestPinnedMaterialize:
                 names = atom_variables(atom)
                 schema = (x, v("q")) if atom == SmallEquation(z, (x, y)) else (*names, v("q"))
                 parent = Relation(schema, frozenset(
-                    tuple(rng.choice(ids) for _ in schema) for _ in range(4)))
-                allowed = {name: set(rng.sample(ids, rng.randint(0, len(ids))))
-                           for name in names[:1]}
+                    tuple(rng.choice(ids) for _ in schema) for _ in range(rng.randint(0, 4))))
+                allowed = {name: {row[i] for row in parent.rows}
+                           for i, name in enumerate(schema) if name in names}
                 for keep in (set(), set(names)):
                     ix = build_index(w)
                     alone = materialize_atom(ix, atom, allowed, keep)
-                    assert materialize_atom(ix, atom, allowed, keep, parent) == alone, (w, atom)
+                    assert materialize_atom(ix, atom, keep=keep, parent=parent) == alone, (w, atom)
+                with pytest.raises(ValueError):
+                    materialize_atom(ix, atom, allowed, parent=parent)
 
-    @pytest.mark.parametrize("text, pinned", [
-        ("ans() :- u = x.y, w = y.x", True),    # the root's n + 1 cuts
-        ("ans() :- z = x.y, w = y.x", False),   # the root's ~n^3/6 cuts
+    @pytest.mark.parametrize("text, pinned, large", [
+        ("ans() :- u = x.y, w = y.x", True, False),     # x, y under the root's n + 1 cuts
+        ("ans() :- z = x.y, w = y.x", False, None),     # x, y under the root's ~n^3/6 cuts
+        ("ans() :- w = x.y, x = y.z", True, True),      # z, x under ~n^3/6 cuts
+        ("ans() :- w = y.x, x = z.y", True, True),      # z, y under ~n^3/6 cuts
     ])
-    def test_only_a_parent_with_few_rows_pins_its_child(self, ab, monkeypatch, text, pinned):
-        """In the join tree a child is generated from its parent's rows only
-        when the parent has at most n + 1 of them; a larger parent was cut
-        from the factor table, and its child's allowed ids are cut."""
+    def test_x_and_y_alone_pin_only_under_few_rows(self, ab, monkeypatch, text, pinned, large):
+        """In the join tree a child sharing z with its parent is generated
+        from the parent's rows whatever their number; one sharing x and y
+        alone only under a parent of at most n + 1 rows, since a larger
+        parent was cut from the factor table, and its child's allowed z are
+        cut."""
         from wordeq import evaluator
         calls = []
         original = evaluator._pinned_rows
@@ -392,7 +403,7 @@ class TestPinnedMaterialize:
         w = "".join(rng.choice("ab") for _ in range(40))
         assert model_check(plan(parse_query(text, ab)), build_index(w))
         assert bool(calls) == pinned
-        assert all(len(parent.rows) <= len(w) + 1 for parent in calls)
+        assert all((len(parent.rows) > len(w) + 1) == large for parent in calls)
 
     def test_border_query_builds_no_factor_table(self, ab, monkeypatch):
         """`check` and `enum` of `u = x.y.x` on 4000 letters read the root's
@@ -463,7 +474,7 @@ class TestProjectedMaterialize:
             raise AssertionError("a factor was cut")
 
         monkeypatch.setattr(index.WordIndex, "splits", cut)
-        monkeypatch.setattr(index, "leftmost_suffix_starts", cut)
+        monkeypatch.setattr(index, "_suffix_runs", cut)
         assert materialize_atom(build_index(ix.word), eq, keep={v(x) for x in keep}) == expected
 
     def test_grounded_suffixes_cut_no_factor(self, monkeypatch):
