@@ -18,6 +18,8 @@ kept left side is every factor with a cut, a kept right side with a free
 left side is every factor (`x = x.epsilon`), a grounded `u = x.y` keeps the
 n + 1 prefixes as x or the n + 1 suffixes as y, and with nothing kept the
 relation is `{()}`.  So `check` of `x = y.z` builds one row, not ~n^3/6.
+A regular constraint that keeps no variable is decided by its first member,
+so `check` of `x in /(a|b)*/` lists no factor.
 
 Relations are generated from the join tree's most selective node outward, in
 BFS order, each child only for the ids its parent's rows allow, so dangling
@@ -188,9 +190,12 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
     column wherever no cut is needed to find it."""
     wid = ix.whole_word_id()
     if isinstance(atom, RegularConstraint):
-        if atom.var.is_universe:
-            return (), [()] if ix.regex_members(atom.regex, {wid}) else []
-        return (atom.var,), zip(ix.regex_members(atom.regex, allowed.get(atom.var)))
+        var = atom.var
+        ids = {wid} if var.is_universe else allowed.get(var)
+        if var.is_universe or var not in keep:
+            # No column is kept: the first member found decides the node.
+            return (), [()] if next(ix._accepted(atom.regex, ids), None) is not None else []
+        return (var,), zip(ix.regex_members(atom.regex, ids))
     z, x, y = atom.lhs, atom.rhs[0], atom.rhs[-1]
     if len(atom.rhs) == 1:
         if z.is_universe:
@@ -224,7 +229,6 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
         # z = x.epsilon or z = epsilon.y: every factor.
         ids = allowed.get(kept[0])
         return (kept[0],), zip(ix.all_factor_ids() if ids is None else ids)
-    table = ix.factor_table()       # a square's roots, too, are then two lookups
     if square:
         # z = x.x: only the middle cut can give equal halves.
         roots = ((f, ix.square_root(f)) for f in (ix.all_factor_ids() if zs is None else zs))
@@ -234,7 +238,7 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
             ids = allowed.get(side)
             if ids is not None:
                 lengths = {end - start for start, end in map(ix.occurrence, ids)}
-                return (z, x, y), walk(table, ids, lengths)
+                return (z, x, y), walk(ix.factor_table(), ids, lengths)
     return (z, x, y), ((f, *cut) for f in (ix.all_factor_ids() if zs is None else zs)
                        for cut in ix.splits(f))
 

@@ -17,8 +17,18 @@ Python.  So the cuts of the whole word (`splits(whole_word_id())`), all a
 grounded binary atom needs, are integer arithmetic on those starts with no
 factor table: O(n) memory.
 `splits` is binary only: the planner's normal form has no longer atom.
-Other single lookups (`id_of_word`, `factor_id` before the table, and the one
-middle cut of `square_root`) find the leftmost start with one `str.find`.
+Other single lookups (`id_of_word`, `factor_id` before the table, and the
+root of `square_root` once one `startswith` has found equal halves) find the
+leftmost start with one `str.find`.
+
+The longest previous factor array (Crochemore & Ilie 2008), built on first
+use, is the source of factor identity for everything that lists factors:
+LPF[i] is the length of the longest prefix of `w[i:]` that also starts
+before i, so `w[i:i+k]` is its own leftmost occurrence, and its key is its
+id, exactly when k > LPF[i].  Since LPF[i] >= LPF[i-1] - 1, extending the
+previous match, with a `str.find` for a longer one wherever it stops, gives
+all of it in at most about 3n finds, with one previous start `prev[i]` of
+each longest match: O(n) memory.
 
 `regex_members(regex, among)` checks only the given ids: the lazy DFA runs
 once from each distinct start among them, up to their farthest end, and an
@@ -28,22 +38,27 @@ with the fewest members, else at node 0, and passes each constraint below the
 root the ids its parent allows.  So a constraint on `u` is one run over the
 word, and one on the prefixes of the word (`u = x.y, x in /a*b/`) is one run
 from offset 0 that stops where the DFA dies.  With no `among` (a constraint
-sized for the root choice) the DFA runs from every start, O(n^2) steps, and
-reads each accepted span's id from the factor table.
+sized for the root choice) the DFA runs from every start, at most O(n^2)
+steps, and keeps the accepted spans longer than LPF at their start, keys
+computed with no table; a start stops early where the DFA dies, or where it
+reaches a state set from which every reachable one accepts.  A constraint
+whose node keeps no variable stops at the first member its scan yields.
 
 `factor_table()` builds the table of every span: `table[i][k]` is the id of
-`w[i:i+k]` (0-based).  A trie over (parent id, letter) visits the spans in
-order of start, so a factor's first visit is its leftmost occurrence, and the
-new node is its id; the nodes made are the distinct factors.  O(n^2) work in
-all.  The table holds about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000)
-and is never built by the constructor or for grounded atoms; `splits` of any
-factor but the whole word builds it, and with it a cut is two list reads.
-Relations of non-grounded equations read it: a left side restricted to m
-factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side with one
-right side restricted to ids of k distinct lengths walks the table from
-their occurrences, O(n^2 k).  The evaluator asks for the cuts only of an atom
-that keeps two or more of its variables; one that keeps at most one lists
-factors, O(n^2), and so does not call `splits` at all.  An atom whose parent
+`w[i:i+k]` (0-based).  Up to LPF[i], row i is a prefix of row prev[i], an
+earlier row; past it every key is row i's own.  So each row is one slice and
+one `range`, with no Python step per span: O(n^2) work in C.  The table
+holds about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is built
+only to cut factors: by `splits` of any factor but the whole word, after
+which a cut is two list reads, and by the evaluator's walks of a free left
+side.  `all_factor_ids()` is the LPF ranges, with no table.
+Relations of non-grounded equations read the table: a left side restricted
+to m factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side
+with one right side restricted to ids of k distinct lengths walks the table
+from their occurrences, O(n^2 k).  The evaluator asks for the cuts only of an
+atom that keeps two or more of its variables; one that keeps at most one
+lists factors, O(n^2), and so does not call `splits` at all, and neither does
+a square, whose one middle cut `square_root` finds.  An atom whose parent
 fixes two of its variables needs no cut and no table: per parent row one
 `occurs_at` (a `startswith`, or one list read once the table exists) and at
 most one `factor_at` or `id_of_word`.
@@ -53,10 +68,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, floordiv, mul
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .model import Alphabet, InvalidSpanError, RegexAst
-from .nfa import thompson
+from .nfa import Nfa, thompson
 
 EPSILON_ID = 0
 
@@ -155,6 +170,33 @@ def _suffix_runs(word: str) -> Optional[list[tuple[int, int, int]]]:
     return runs
 
 
+def longest_previous_factors(word: str) -> tuple[list[int], list[int]]:
+    """(lpf, prev): lpf[i] is the length of the longest prefix of `word[i:]`
+    that also starts before i, and prev[i] one such start (0 where lpf[i] is
+    0).  So `word[i:i+k]` is its own leftmost occurrence exactly when
+    k > lpf[i] (Crochemore & Ilie 2008).
+
+    lpf[i] >= lpf[i - 1] - 1, the previous match moved one letter on.  From
+    there the match is extended a letter at a time, and a `str.find` over
+    `word[:i + k]` looks for a start before i of one letter more; each find
+    that succeeds adds a letter, so all of lpf takes at most about 3n finds."""
+    n = len(word)
+    lpf, prev = [0] * n, [0] * n
+    k = j = 0
+    for i in range(1, n):
+        if k:
+            k, j = k - 1, j + 1
+        while i + k < n:
+            if word[j + k] != word[i + k] or not k:
+                at = word.find(word[i:i + k + 1], 0, i + k)
+                if at < 0:
+                    break
+                j = at
+            k += 1
+        lpf[i], prev[i] = k, j
+    return lpf, prev
+
+
 def leftmost_suffix_starts(word: str) -> list[int]:
     """starts[m] = the leftmost start of the suffix of length m, read off
     `WordIndex.suffix_ids`."""
@@ -162,8 +204,9 @@ def leftmost_suffix_starts(word: str) -> list[int]:
 
 
 class WordIndex:
-    """The suffix ids, the whole word's cuts and the factor table are filled
-    in on first use, so an index is not safe to share between threads."""
+    """The suffix ids, the whole word's cuts, the previous factors, the list
+    of factor ids and the factor table are filled in on first use, so an
+    index is not safe to share between threads."""
 
     def __init__(self, word: str, alphabet: Optional[Alphabet] = None):
         if alphabet is not None and not set(word) <= set(alphabet):
@@ -174,8 +217,9 @@ class WordIndex:
         self._stride = self.n + 1
         self._suffixes: Optional[list[int]] = None
         self._word_cuts: Optional[list[tuple[int, int]]] = None
+        self._lpf: Optional[tuple[list[int], list[int]]] = None
         self._table: Optional[list[list[int]]] = None
-        self._factors: list[int] = []       # distinct ids, filled with the table
+        self._factors: Optional[list[int]] = None
 
     # -- identity -------------------------------------------------------------
 
@@ -250,38 +294,37 @@ class WordIndex:
     def whole_word_id(self) -> int:
         return self.n
 
+    def _previous_factors(self) -> tuple[list[int], list[int]]:
+        """`longest_previous_factors` of the word, built once."""
+        if self._lpf is None:
+            self._lpf = longest_previous_factors(self.word)
+        return self._lpf
+
     def factor_table(self) -> list[list[int]]:
         """`table[i][k]` is the id of w[i:i+k], built on first use; callers
-        must not modify it."""
-        if self._table is not None:
-            return self._table
-        n = self.n
-        codes = {ch: c for c, ch in enumerate(dict.fromkeys(self.word))}
-        sigma = max(len(codes), 1)
-        letters = [codes[ch] for ch in self.word]
-        child: dict[int, int] = {}          # parent id * sigma + letter -> id
-        factors = [EPSILON_ID]
-        table = []
-        for i in range(n + 1):
-            row = [EPSILON_ID]
-            node = EPSILON_ID
-            key = i * n                         # + j + 1: the key of w[i:j+1]
-            for j in range(i, n):
-                edge = node * sigma + letters[j]
-                node = child.get(edge, -1)
-                if node < 0:
-                    # First visit in order of start: w[i:j+1] is leftmost here.
-                    node = child[edge] = key + j + 1
-                    factors.append(node)
-                row.append(node)
-            table.append(row)
-        self._factors = factors
-        self._table = table
-        return table
+        must not modify it.  Up to LPF[i] row i is a prefix of row prev[i],
+        and past it every key is w[i:]'s own: one slice and one `range`."""
+        if self._table is None:
+            n, stride = self.n, self._stride
+            lpf, prev = self._previous_factors()
+            table = []
+            for i, (longest, p) in enumerate(zip(lpf, prev)):
+                row = table[p][:longest + 1] if longest else [EPSILON_ID]
+                row += range(i * stride + longest + 1, i * stride + n - i + 1)
+                table.append(row)
+            table.append([EPSILON_ID])
+            self._table = table
+        return self._table
 
     def all_factor_ids(self) -> list[int]:
-        """Every distinct id once, epsilon first; callers must not modify it."""
-        self.factor_table()
+        """Every distinct id once, epsilon first, then in order of start and
+        length: w[i:i+k] for k > LPF[i].  Callers must not modify it."""
+        if self._factors is None:
+            n, stride = self.n, self._stride
+            factors = [EPSILON_ID]
+            for i, longest in enumerate(self._previous_factors()[0]):
+                factors += range(i * stride + longest + 1, i * stride + n - i + 1)
+            self._factors = factors
         return self._factors
 
     # -- concatenation ----------------------------------------------------------
@@ -303,54 +346,120 @@ class WordIndex:
         return [(row[k], table[start + k][length - k]) for k in range(length + 1)]
 
     def square_root(self, fid: int) -> Optional[int]:
-        """Id of r with word(fid) = r.r, else None: one cut, at the middle."""
+        """Id of r with word(fid) = r.r, else None: one cut, at the middle.
+        Without the factor table one `startswith` compares the halves, and
+        only equal ones cost a `str.find` for the root's id."""
         start, end = self.occurrence(fid)
         if (end - start) % 2:
             return None
         half = (start + end) // 2
-        root = self.factor_at(start, half)
-        return root if root == self.factor_at(half, end) else None
+        if self._table is None:
+            word = self.word
+            return self.factor_at(start, half) if word.startswith(word[start:half], half) else None
+        root = self._table[start][half - start]
+        return root if root == self._table[half][end - half] else None
 
     # -- regex membership ---------------------------------------------------------
 
     def regex_members(self, regex: RegexAst, among: Optional[AbstractSet[int]] = None) -> set[int]:
         """Ids of exactly those distinct factors the regex accepts; with
         `among`, only those among the given ids.  The NFA runs as a lazy DFA,
-        each (state set, letter) step taken once: from every start, reading
-        ids from the factor table, or with `among` only from the starts of
-        its ids, up to their farthest end."""
-        nfa = thompson(regex)
-        initial = nfa.initial()
-        moves: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+        each (state set, letter) step taken once, from the starts of the ids
+        in `among` up to their farthest end; with no `among`, from every
+        start, keeping an accepted w[i:j] iff j - i > LPF[i], where it is its
+        own leftmost occurrence, so its id is its key.  No factor table is
+        read.  A start stops where the DFA dies, or once it reaches a state
+        set from which every state set reachable over the word's letters
+        accepts: the rest of that start's leftmost keys are then one `range`.
+        That search is memoised per state set and explores no more state sets
+        than the letters left to scan."""
         out: set[int] = set()
-        word, n, stride, accept = self.word, self.n, self._stride, nfa.accept
-        if among is None:
-            table = self.factor_table()
-            farthest = dict.fromkeys(range(n), n)           # start -> end
-        else:
+        for run in self._accepted(regex, among):
+            out.update(run)
+        return out
+
+    def _accepted(self, regex: RegexAst, among: Optional[AbstractSet[int]]) -> Iterator[Iterable[int]]:
+        """Runs of the ids `regex_members` returns, in scan order: epsilon,
+        then by start; a caller that needs one member stops at the first."""
+        moves = _Moves(thompson(regex))
+        initial = moves.nfa.initial()
+        word, n, stride, accept = self.word, self.n, self._stride, moves.nfa.accept
+        if accept in initial and (among is None or EPSILON_ID in among):
+            yield (EPSILON_ID,)
+        if among is not None:
             # In sorted order the last key of a start is its longest; the dict keeps it.
             keys = sorted(among)
             longest = dict(zip(map(floordiv, keys, repeat(stride)), keys))
-            farthest = {i: last - i * n for i, last in longest.items()}
-        if accept in initial and (among is None or EPSILON_ID in among):
-            out.add(EPSILON_ID)
-        for i, end in farthest.items():
-            key = i * n                     # + j + 1: the key of w[i:j+1]
-            row = table[i] if among is None else None
+            for i, last in longest.items():
+                key = i * n                     # + j + 1: the key of w[i:j+1]
+                states = initial
+                for j in range(i, last - key):
+                    states = moves[states, word[j]]
+                    if not states:
+                        break
+                    if accept in states and key + j + 1 in among:
+                        yield (key + j + 1,)
+            return
+        letters = tuple(dict.fromkeys(word))
+        universal: dict[frozenset[int], bool] = {}
+        for i, longest in enumerate(self._previous_factors()[0]):
+            key = i * n                         # + j + 1: the key of w[i:j+1]
+            first = i + longest                 # w[i:j+1] is leftmost iff j >= first
             states = initial
-            for j in range(i, end):
-                move = (states, word[j])
-                states = moves.get(move)
-                if states is None:
-                    states = moves[move] = nfa.step(*move)
+            for j in range(i, n):
+                states = moves[states, word[j]]
                 if not states:
                     break
                 if accept in states:
-                    if row is not None:
-                        out.add(row[j + 1 - i])
-                    elif key + j + 1 in among:
-                        out.add(key + j + 1)
-        return out
+                    if j >= first:
+                        yield (key + j + 1,)
+                    if j + 1 < n and _universal(moves, letters, universal, states, n - j - 1):
+                        rest = range(key + max(j + 1, first) + 1, key + n + 1)
+                        if rest:
+                            yield rest
+                        break
+
+
+class _Moves(dict):
+    """The lazy DFA of an NFA: `moves[states, letter]` is the state set
+    after `letter`, each (state set, letter) step taken once."""
+
+    def __init__(self, nfa: Nfa):
+        super().__init__()
+        self.nfa = nfa
+
+    def __missing__(self, move: tuple[frozenset[int], str]) -> frozenset[int]:
+        self[move] = after = self.nfa.step(*move)
+        return after
+
+
+def _universal(moves: _Moves, letters: tuple[str, ...], verdicts: dict[frozenset[int], bool],
+               states: frozenset[int], budget: int) -> bool:
+    """Whether every state set reachable from `states` over `letters`
+    accepts, by a depth-first search through `moves` that explores at most
+    `budget` state sets.  The verdict is memoised in `verdicts`; a search cut
+    by its budget counts as no."""
+    verdict = verdicts.get(states)
+    if verdict is not None:
+        return verdict
+    accept = moves.nfa.accept
+    seen = {states}
+    stack = [states]
+    while stack:
+        at = stack.pop()
+        for ch in letters:
+            to = moves[at, ch]
+            if to in seen:
+                continue
+            verdict = verdicts.get(to)
+            if accept not in to or verdict is False or len(seen) >= budget:
+                verdicts[states] = False
+                return False
+            seen.add(to)
+            if verdict is None:         # a known universal set needs no walk
+                stack.append(to)
+    verdicts.update(dict.fromkeys(seen, True))
+    return True
 
 
 def build_index(word: str, alphabet: Optional[Alphabet] = None) -> WordIndex:

@@ -608,6 +608,23 @@ class TestModelCheck:
         p = plan(q)
         assert not model_check(p, build_index("ab"))
 
+    def test_constraint_alone_stops_at_its_first_member(self, ab, monkeypatch):
+        """`check` keeps no variable of a lone constraint, so the first member
+        the scan yields decides it: no member set, no factor list and no
+        factor table, on a 4000-letter word."""
+        from wordeq.index import WordIndex
+
+        def listed(self, *args):
+            raise AssertionError("factors were listed")
+
+        for name in ("regex_members", "all_factor_ids", "factor_table"):
+            monkeypatch.setattr(WordIndex, name, listed)
+        rng = random.Random(0)
+        w = "".join(rng.choice("ab") for _ in range(4000))
+        for text, expect in [("(a|b)*", True), ("b+a", True), ("bbbbbbbbbbbbbbbbbbbbbbbbbbbbbb", False)]:
+            p = plan(parse_query(f"ans(x) :- x in /{text}/", ab))
+            assert model_check(p, build_index(w)) == expect, text
+
     def test_agrees_with_enumerate(self):
         rng = random.Random(3)
         done = 0

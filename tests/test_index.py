@@ -12,6 +12,7 @@ from wordeq.index import (
     _z_suffix_starts,
     build_index,
     leftmost_suffix_starts,
+    longest_previous_factors,
     z_function,
 )
 from wordeq.model import InvalidSpanError
@@ -20,6 +21,29 @@ from wordeq.nfa import Nfa, thompson
 
 def brute_distinct_factors(w: str) -> set[str]:
     return {""} | {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+
+
+def trie_factor_table(w: str) -> tuple[list[list[int]], list[int]]:
+    """The factor table and the distinct ids in order of first visit, built
+    by a trie over (parent id, letter) that visits the spans in order of
+    start: a factor's first visit is its leftmost occurrence, and the new
+    node is its key.  The reference for `factor_table` and `all_factor_ids`."""
+    n = len(w)
+    child: dict[tuple[int, str], int] = {}
+    factors = [EPSILON_ID]
+    table = []
+    for i in range(n + 1):
+        row = [EPSILON_ID]
+        node = EPSILON_ID
+        for j in range(i, n):
+            edge = (node, w[j])
+            node = child.get(edge, -1)
+            if node < 0:
+                node = child[edge] = i * (n + 1) + j + 1 - i
+                factors.append(node)
+            row.append(node)
+        table.append(row)
+    return table, factors
 
 
 def concat_id(ix, a: int, b: int):
@@ -88,14 +112,14 @@ class TestFactorIdentity:
 
 
 class TestFactorTable:
-    """The table built by `all_factor_ids` against the span-validating
+    """The table built by `factor_table` against the span-validating
     `factor_id`, on every word over {a, b} of length <= 7."""
 
     def test_table_matches_factor_id(self):
         for w in all_words("ab", 7):
             n = len(w)
             ix = build_index(w)
-            ix.all_factor_ids()
+            ix.factor_table()
             # A second index numbered through factor_id alone, in the table's
             # row-major order, hands out the same ids.
             ref = build_index(w)
@@ -117,7 +141,7 @@ class TestFactorTable:
                 early[factor] = ix.id_of_word(factor)
             early.update((ix.word_of(fid), fid) for fid in ix.regex_members(regex))
             assert len(set(early.values())) == len(early)
-            ix.all_factor_ids()
+            ix.factor_table()
             for factor, fid in early.items():
                 assert ix.id_of_word(factor) == fid, (w, factor)
                 at = w.find(factor)
@@ -132,11 +156,89 @@ class TestFactorTable:
         for w in all_words("ab", 6):
             ix, bare = build_index(w), build_index(w)
             n = len(w)
+            ix.factor_table()
             for fid in ix.all_factor_ids():
                 word = ix.word_of(fid)
                 for i in range(n + 1):
                     expected = w[i:i + len(word)] == word
                     assert ix.occurs_at(fid, i) == bare.occurs_at(fid, i) == expected, (w, fid, i)
+
+
+def brute_previous_factor(w: str, i: int) -> int:
+    """The longest prefix of w[i:] that also starts before i, by comparing
+    w[i:] with every earlier suffix."""
+    best = 0
+    for j in range(i):
+        k = 0
+        while i + k < len(w) and w[j + k] == w[i + k]:
+            k += 1
+        best = max(best, k)
+    return best
+
+
+def find_previous_factor(w: str, i: int) -> int:
+    """The same length by a binary search over `str.find`: a prefix of w[i:]
+    starts before i iff its leftmost occurrence does, and every shorter
+    prefix then does too."""
+    lo, hi = 0, len(w) - i
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if w.find(w[i:i + mid]) < i:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class TestLongestPreviousFactors:
+    """`longest_previous_factors` against a scan of every earlier start, and
+    each prev[i] against the word."""
+
+    @staticmethod
+    def check(w: str, reference) -> None:
+        lpf, prev = longest_previous_factors(w)
+        assert len(lpf) == len(prev) == len(w), w
+        for i, (k, p) in enumerate(zip(lpf, prev)):
+            assert k == reference(w, i), (w, i)
+            assert 0 <= p < max(i, 1) and w[p:p + k] == w[i:i + k], (w, i)
+
+    def test_every_short_word(self):
+        for w in all_words("ab", 12):
+            self.check(w, brute_previous_factor)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_periodic_words(self, n):
+        h = "".join(random.Random(n).choice("ab") for _ in range(n // 3))
+        for w in ("a" * n, ("ab" * n)[:n], "b" + "a" * (n - 1), "a" * (n - 1) + "b",
+                  fibonacci_word(n), h + h + h):
+            self.check(w, find_previous_factor)
+
+
+class TestTableFromPreviousFactors:
+    """`factor_table` and `all_factor_ids`, built from the previous factors,
+    equal the trie's table and its ids in order of first visit."""
+
+    @staticmethod
+    def check(w: str) -> None:
+        table, factors = trie_factor_table(w)
+        assert build_index(w).factor_table() == table, w
+        assert build_index(w).all_factor_ids() == factors, w
+        ix = build_index(w)
+        ix.factor_table()
+        assert ix.all_factor_ids() == factors, w
+
+    def test_every_short_word(self):
+        for w in all_words("ab", 10):
+            self.check(w)
+
+    def test_long_words(self):
+        rng = random.Random(200)
+        for _ in range(5):
+            self.check("".join(rng.choice("ab") for _ in range(200)))
+        self.check("".join(rng.choice("abc") for _ in range(200)))
+        for n in (1, 2, 99, 200):
+            self.check("a" * n)
+            self.check("ab" * n)
 
 
 class TestIdsAreKeys:
@@ -304,7 +406,7 @@ class TestWholeWordSplits:
             for build_table in (False, True):
                 ix = build_index(w)
                 if build_table:
-                    ix.all_factor_ids()
+                    ix.factor_table()
                     fids = ix.all_factor_ids()
                 else:
                     fids = [ix.whole_word_id()]
@@ -453,3 +555,72 @@ class TestRegexMembers:
         assert members == {"b", "ab"}
         # a*b takes a handful of (state set, letter) steps, however long the word.
         assert len(calls) <= 8
+
+    @pytest.mark.parametrize("text", ["(a|b)*", "a(a|b)*", "b*", "(a|b)*a", "a+", "''", None])
+    def test_leftmost_keys_without_the_table(self, ab, monkeypatch, text):
+        """With no `among`, the members are the leftmost keys of the accepted
+        factors, computed with no factor table (None: the empty language)."""
+        from wordeq.frontend import parse_regex
+        from wordeq.index import WordIndex
+        from wordeq.model import REmpty
+
+        def no_table(self):
+            raise AssertionError("the factor table was built")
+
+        monkeypatch.setattr(WordIndex, "factor_table", no_table)
+        regex = REmpty() if text is None else parse_regex(text, ab)
+        nfa = thompson(regex)
+        for w in all_words("ab", 8):
+            expected = {w.find(f) * (len(w) + 1) + len(f)
+                        for f in brute_distinct_factors(w) if nfa.accepts(f)}
+            assert build_index(w).regex_members(regex) == expected, (w, text)
+
+    @pytest.mark.parametrize("k, head_steps", [(6, 97), (10, 215), (14, 338)])
+    def test_universality_search_stays_bounded(self, ab, monkeypatch, k, head_steps):
+        """`(a|b)*a(a|b)^k` has a DFA of 2^k states and no state set from
+        which every reachable one accepts.  The search for one explores at
+        most the letters left to scan, so it adds no more steps than the
+        scan takes without it (`head_steps`, counted before the search)."""
+        from wordeq.frontend import parse_regex
+        calls = []
+        step = Nfa.step
+
+        def counted(self, states, symbol):
+            calls.append(symbol)
+            return step(self, states, symbol)
+
+        monkeypatch.setattr(Nfa, "step", counted)
+        rng = random.Random(5)
+        w = "".join(rng.choice("ab") for _ in range(64))
+        regex = parse_regex("(a|b)*a" + "(a|b)" * k, ab)
+        members = build_index(w).regex_members(regex)
+        assert len(calls) <= 2 * head_steps
+        nfa = thompson(regex)
+        assert members == {w.find(f) * 65 + len(f) for f in brute_distinct_factors(w) if nfa.accepts(f)}
+
+    def test_universality_search_keeps_its_budget(self, ab, monkeypatch):
+        """Every word of at most 20 letters is in ('' | a | b)^20, so a search
+        from the start finds a rejecting state set only 21 sets deep; with a
+        budget of 5 it gives up after at most 5 sets, one step per letter
+        each.  From after the a of a(a|b)*, every reachable set accepts."""
+        from wordeq.frontend import parse_regex
+        from wordeq.index import _Moves, _universal
+        calls = []
+        step = Nfa.step
+
+        def counted(self, states, symbol):
+            calls.append(symbol)
+            return step(self, states, symbol)
+
+        def search(nfa, states, budget):
+            return _universal(_Moves(nfa), ("a", "b"), {}, states, budget)
+
+        monkeypatch.setattr(Nfa, "step", counted)
+        nfa = thompson(parse_regex("(''|a|b)" * 20, ab))
+        assert not search(nfa, nfa.initial(), 5)
+        assert len(calls) <= 2 * 5
+        assert not search(nfa, nfa.initial(), 100)
+        nfa = thompson(parse_regex("a(a|b)*", ab))
+        after_a = nfa.step(nfa.initial(), "a")
+        assert not search(nfa, after_a, 1)
+        assert search(nfa, after_a, 100)
