@@ -98,25 +98,84 @@ class _Intervals:
         return self.fid[i * (self.n + 1) + j]
 
 
-@dataclass
 class _Derivation:
-    """Result of the bottom-up fixed point: the split set of every factor.
+    """Result of the bottom-up pass: where every factor first splits.
 
-    Bit ``a`` of ``splits[f]`` is set when cutting factor ``f`` after its
-    ``a``-th symbol is an edge; a longer factor is acyclic iff its set is not
-    empty, and every single variable is acyclic.
+    ``first[f]`` is the lowest ``a`` such that cutting factor ``f`` after its
+    ``a``-th symbol is an edge, or 0 when no cut is; a longer factor is
+    acyclic iff it is not 0, and every single variable is acyclic.  Any
+    other split bit is decided on demand by ``split`` and memoised.
+    ``partner`` is as in ``_solve_binary``.
     """
 
-    ivs: _Intervals
-    splits: list[int]
+    def __init__(self, ivs: _Intervals, partner: Optional[list[int]]):
+        self.ivs = ivs
+        self.partner = partner
+        self.first = [-1] * ivs.factors   # -1 until the factor is scanned
+        self.memo: dict[int, bool] = {}   # bits above first[f], keyed f * (n + 1) + a
 
     def acyclic(self, i: int, k: int) -> bool:
-        return i == k or self.splits[self.ivs.fid_of(i, k)] > 0
+        return i == k or self.first[self.ivs.fid_of(i, k)] > 0
 
-    def split_points(self, i: int, k: int) -> list[int]:
-        """The split points j of [i..k] (left part [i..j]), ascending."""
-        s = self.splits[self.ivs.fid_of(i, k)]
-        return [i + a - 1 for a in range(1, k - i + 1) if s >> a & 1]
+    def split(self, i: int, k: int, a: int) -> bool:
+        """Whether cutting [i..k] after its ``a``-th symbol is an edge.
+
+        A bit can wait on bits of shorter factors, which can wait on shorter
+        ones in turn, so the bits still open are kept on an explicit stack,
+        not the call stack."""
+        got = self._known(i, k, a)
+        if got is not None:
+            return got
+        todo = [(i, k, a)]
+        while todo:
+            need = self._decide(*todo[-1])
+            if need is None:
+                todo.pop()
+            else:
+                todo.append(need)
+        return self.memo[self.ivs.fid_of(i, k) * (self.ivs.n + 1) + a]
+
+    def _known(self, i: int, k: int, a: int) -> Optional[bool]:
+        """The bit if ``first`` or the memo has it, else None: bits below
+        ``first[f]`` are unset, and a factor with no split has none."""
+        w = self.ivs.n + 1
+        f = self.ivs.fid[i * w + k]
+        b = self.first[f]
+        if a <= b or b == 0:
+            return a == b
+        return self.memo.get(f * w + a)
+
+    def _decide(self, i: int, k: int, a: int) -> Optional[tuple[int, int, int]]:
+        """Memoise the bit of ``split``, or return an open bit it waits on.
+
+        The edge condition of ``_solve_binary``: both halves acyclic, then
+        equal halves, disjoint variables, or one half equal to an edge child
+        of the other, a prefix or a suffix of its length."""
+        ivs = self.ivs
+        w = ivs.n + 1
+        fid, mask = ivs.fid, ivs.mask
+        j = i + a - 1
+        la, lb = a, k - j
+        lf, rf = fid[i * w + j], fid[(j + 1) * w + k]
+        edge = False
+        if (self.acyclic(i, j) and self.acyclic(j + 1, k)
+                and (self.partner is None or _pair_ok(ivs, self.partner, i, j, k))):
+            edge = lf == rf or mask[i * w + j] & mask[(j + 1) * w + k] == 0
+            tries: tuple = ()
+            if lb < la:
+                tries = ((i, j, lb, fid[i * w + i + lb - 1] == rf),
+                         (i, j, la - lb, fid[(j + 1 - lb) * w + j] == rf))
+            elif la < lb:
+                tries = ((j + 1, k, la, fid[(j + 1) * w + j + la] == lf),
+                         (j + 1, k, lb - la, fid[(k + 1 - la) * w + k] == lf))
+            for p, q, c, same in tries:
+                if same and not edge:
+                    bit = self._known(p, q, c)
+                    if bit is None:
+                        return p, q, c
+                    edge = bit
+        self.memo[fid[i * w + k] * w + a] = edge
+        return None
 
 
 def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Derivation:
@@ -125,7 +184,10 @@ def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Deri
     Children of an edge are strictly shorter than its parent, so a single
     ordered pass reaches the fixed point.  Whether an interval is acyclic,
     and where it splits, depends only on the factor it spells: the first
-    interval spelling a factor runs the split checks, later ones copy them.
+    interval spelling a factor tries its candidate splits in ascending order
+    and stops at the first edge, later ones copy the verdict.  Other split
+    bits are left to ``_Derivation.split``, which an edge condition here
+    calls only for a child whose factor matches the sibling.
     ``partner`` holds, per variable code, the variable mask of the required
     pair the variable is in, or 0 (the constrained variant; see
     ``_pair_ok``).
@@ -133,12 +195,13 @@ def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Deri
     n = ivs.n
     w = n + 1
     fid, mask = ivs.fid, ivs.mask
-    splits = [-1] * ivs.factors
+    deriv = _Derivation(ivs, partner)
+    first, split = deriv.first, deriv.split
     # Bit j of start[i], and bit i - 1 of end[j]: [i..j] is known acyclic.
     start = [0] * (n + 1)
     end = [0] * (n + 1)
     for i in range(1, n + 1):
-        splits[fid[i * w + i]] = 0
+        first[fid[i * w + i]] = 0
         start[i] = 1 << i
         end[i] = 1 << (i - 1)
 
@@ -147,7 +210,7 @@ def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Deri
             k = i + length - 1
             at = i * w
             f = fid[at + k]
-            s = splits[f]
+            s = first[f]
             if s < 0:
                 s = 0
                 candidates = start[i] & end[k]
@@ -159,22 +222,28 @@ def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Deri
                     lf, rf = fid[at + j], fid[(j + 1) * w + k]
                     # Equal halves, disjoint variables, or one half equal to
                     # an edge child of the other: a child of length l is the
-                    # prefix or the suffix of that length.
+                    # prefix or the suffix of that length.  A bit at or below
+                    # the child's first split is known without a call.
                     if (lf == rf or mask[at + j] & mask[(j + 1) * w + k] == 0
-                            or lb < la and (splits[lf] >> lb & 1 and fid[at + i + lb - 1] == rf
-                                            or splits[lf] >> (la - lb) & 1
-                                            and fid[(j + 1 - lb) * w + j] == rf)
-                            or la < lb and (splits[rf] >> la & 1 and fid[(j + 1) * w + j + la] == lf
-                                            or splits[rf] >> (lb - la) & 1
-                                            and fid[(k + 1 - la) * w + k] == lf)):
+                            or lb < la and (fid[at + i + lb - 1] == rf
+                                            and (first[lf] == lb or first[lf] < lb and split(i, j, lb))
+                                            or fid[(j + 1 - lb) * w + j] == rf
+                                            and (first[lf] == la - lb
+                                                 or first[lf] < la - lb and split(i, j, la - lb)))
+                            or la < lb and (fid[(j + 1) * w + j + la] == lf
+                                            and (first[rf] == la or first[rf] < la and split(j + 1, k, la))
+                                            or fid[(k + 1 - la) * w + k] == lf
+                                            and (first[rf] == lb - la
+                                                 or first[rf] < lb - la and split(j + 1, k, lb - la)))):
                         if partner is None or _pair_ok(ivs, partner, i, j, k):
-                            s |= 1 << la
-                splits[f] = s
+                            s = la
+                            break
+                first[f] = s
             if s:
                 start[i] |= 1 << k
                 end[k] |= 1 << (i - 1)
 
-    return _Derivation(ivs, splits)
+    return deriv
 
 
 def _pair_ok(ivs: _Intervals, partner: list[int], i: int, j: int, k: int) -> bool:
@@ -208,7 +277,7 @@ def is_acyclic_pattern(p: Pattern) -> bool:
 # Bracketings are built and walked with explicit stacks, not recursion: a
 # derivation nests as deep as the pattern is long (x1^n nests n deep).
 
-def _bracketing_of(deriv: _Derivation, n: int) -> Optional[Bracketing]:
+def _bracketing_of(deriv: _Derivation, n: int) -> Bracketing:
     """Top-down edge selection with the three guarded cases.
 
     When one sibling is justified by an edge child of the other, that edge is
@@ -223,10 +292,7 @@ def _bracketing_of(deriv: _Derivation, n: int) -> Optional[Bracketing]:
         if i == k:
             chosen.append((i, 0))
             continue
-        found = _choose_split(deriv, i, k, forced=committed)
-        if found is None:
-            return None
-        j, commitment = found
+        j, commitment = _choose_split(deriv, i, k, forced=committed)
         side, x = commitment if commitment is not None else (None, None)
         chosen.append((i, j))
         todo.append((j + 1, k, x if side == "right" else None))
@@ -238,22 +304,28 @@ def _bracketing_of(deriv: _Derivation, n: int) -> Optional[Bracketing]:
 
 
 def _choose_split(deriv: _Derivation, i: int, k: int,
-                  forced: Optional[int] = None) -> Optional[tuple[int, Optional[tuple[str, int]]]]:
+                  forced: Optional[int] = None) -> tuple[int, Optional[tuple[str, int]]]:
+    """The split j of the acyclic [i..k] and its witness: the first split,
+    or the one its parent committed.  Either is an edge, so its edge
+    condition names the witness: the lowest split x of one half whose part
+    equals the other half, found among the two cuts of that length."""
     ivs = deriv.ivs
     w = ivs.n + 1
     fid = ivs.fid
-    candidates = (forced,) if forced is not None else deriv.split_points(i, k)
-    for j in candidates:
-        lf, rf = fid[i * w + j], fid[(j + 1) * w + k]
-        if lf == rf or ivs.mask[i * w + j] & ivs.mask[(j + 1) * w + k] == 0:
-            return j, None
-        for x in deriv.split_points(i, j):
-            if fid[i * w + x] == rf or fid[(x + 1) * w + j] == rf:
+    j = forced if forced is not None else i + deriv.first[fid[i * w + k]] - 1
+    lf, rf = fid[i * w + j], fid[(j + 1) * w + k]
+    if lf == rf or ivs.mask[i * w + j] & ivs.mask[(j + 1) * w + k] == 0:
+        return j, None
+    la, lb = j + 1 - i, k - j
+    if lb < la:
+        for x in sorted((i + lb - 1, j - lb)):
+            if (fid[i * w + x] == rf or fid[(x + 1) * w + j] == rf) and deriv.split(i, j, x + 1 - i):
                 return j, ("left", x)
-        for x in deriv.split_points(j + 1, k):
-            if lf == fid[(j + 1) * w + x] or lf == fid[(x + 1) * w + k]:
+    elif la < lb:
+        for x in sorted((j + la, k - la)):
+            if (lf == fid[(j + 1) * w + x] or lf == fid[(x + 1) * w + k]) and deriv.split(j + 1, k, x - j):
                 return j, ("right", x)
-    return None
+    raise AssertionError(f"the edge [{i}..{j}][{j + 1}..{k}] has no witness")
 
 
 def _expanded(labels: Sequence[Variable], children: Sequence[Sequence[int]]) -> list[int]:
@@ -476,8 +548,7 @@ def _constrained_search(p: Pattern, pairs: Iterable[frozenset[Variable]]
     deriv = _solve_binary(ivs, partner)
     if not deriv.acyclic(1, ivs.n):
         return None
-    b = _bracketing_of(deriv, ivs.n)
-    return None if b is None else (b, ivs)
+    return _bracketing_of(deriv, ivs.n), ivs
 
 
 def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[Variable]],
@@ -579,11 +650,12 @@ class _KaryDerivation:
 
 
 def _solve_kary(ivs: _Intervals, arity: int) -> _KaryDerivation:
-    """Grow localized intervals in increasing length order, as
-    ``_solve_binary`` does: the first interval spelling a factor tries its
+    """Grow localized intervals in increasing length order, once per
+    distinct factor: the first interval spelling a factor tries all its
     compositions into 2..arity acyclic parts, later ones reuse the result.
-    Siblings must be equal, share no variable, or one must be a part of a
-    tuple of the other."""
+    Unlike ``_solve_binary`` it keeps every tuple, not just the first, since
+    the derivation may backtrack to any of them.  Siblings must be equal,
+    share no variable, or one must be a part of a tuple of the other."""
     n = ivs.n
     w = n + 1
     fid, mask = ivs.fid, ivs.mask

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import alpha_equivalent, canonical_patterns, pat, two_from_text, v
 from wordeq.decompose import (
+    _choose_split,
     _Intervals,
+    _pair_ok,
     _solve_binary,
     concat_tree_of,
     constrained_acyclic_bracketing,
@@ -60,6 +62,89 @@ def assert_valid_decomposition(two, root, pattern):
     assert gyo([(eq, eq.variables()) for eq in two.equations]) is not None
 
 
+def eager_splits(ivs, partner=None) -> list[int]:
+    """The reference split sets, per factor id: bit ``a`` of ``splits[f]``
+    is set when cutting factor ``f`` after its ``a``-th symbol is an edge.
+    Every candidate split of the first interval spelling a factor is
+    checked, none left for later."""
+    n = ivs.n
+    w = n + 1
+    fid, mask = ivs.fid, ivs.mask
+    splits = [-1] * ivs.factors
+    start = [0] * (n + 1)
+    end = [0] * (n + 1)
+    for i in range(1, n + 1):
+        splits[fid[i * w + i]] = 0
+        start[i] = 1 << i
+        end[i] = 1 << (i - 1)
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            k = i + length - 1
+            at = i * w
+            f = fid[at + k]
+            s = splits[f]
+            if s < 0:
+                s = 0
+                candidates = start[i] & end[k]
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    j = low.bit_length() - 1
+                    la, lb = j + 1 - i, k - j
+                    lf, rf = fid[at + j], fid[(j + 1) * w + k]
+                    if (lf == rf or mask[at + j] & mask[(j + 1) * w + k] == 0
+                            or lb < la and (splits[lf] >> lb & 1 and fid[at + i + lb - 1] == rf
+                                            or splits[lf] >> (la - lb) & 1
+                                            and fid[(j + 1 - lb) * w + j] == rf)
+                            or la < lb and (splits[rf] >> la & 1 and fid[(j + 1) * w + j + la] == lf
+                                            or splits[rf] >> (lb - la) & 1
+                                            and fid[(k + 1 - la) * w + k] == lf)):
+                        if partner is None or _pair_ok(ivs, partner, i, j, k):
+                            s |= 1 << la
+                splits[f] = s
+            if s:
+                start[i] |= 1 << k
+                end[k] |= 1 << (i - 1)
+    return splits
+
+
+def split_corpus():
+    """Patterns, each with no pairs and with the partner masks of one random
+    pair: every pattern of up to 7 symbols over 4 variables, seeded random
+    patterns of up to 40 symbols and block patterns of up to 60."""
+    rng = random.Random(67)
+    pool = [Variable(f"x{i}") for i in range(1, 6)]
+    patterns = list(canonical_patterns(7, 4))
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        patterns.append(tuple(rng.choice(pool[:m]) for _ in range(rng.randint(1, 40))))
+    for _ in range(30):
+        block = rng.sample(pool, rng.randint(1, 4))
+        length = rng.randint(1, 60)
+        patterns.append(tuple(block * (length // len(block) + 1))[:length])
+    for p in patterns:
+        ivs = _Intervals(p)
+        yield ivs, None
+        xs = sorted(set(p), key=lambda x: x.name)
+        if len(xs) >= 2:
+            pair = rng.sample(xs, 2)
+            code = dict(zip(p, ivs.codes))
+            partner = [0] * len(code)
+            for x in pair:
+                partner[code[x]] = sum(1 << code[y] for y in pair)
+            yield ivs, partner
+
+
+def first_intervals(ivs):
+    """The first interval [i..k] spelling each factor, by factor id."""
+    w = ivs.n + 1
+    at = {}
+    for i in range(1, ivs.n + 1):
+        for k in range(i, ivs.n + 1):
+            at.setdefault(ivs.fid[i * w + k], (i, k))
+    return at
+
+
 class TestIsAcyclicPattern:
     def test_known_cyclic(self):
         assert not is_acyclic_pattern(pat("x1 x2 x1 x3 x1"))
@@ -101,6 +186,63 @@ class TestIsAcyclicPattern:
             for i in range(1, len(p) + 1):
                 for k in range(i, len(p) + 1):
                     assert deriv.acyclic(i, k) == is_acyclic_pattern(p[i - 1:k]), (p, i, k)
+
+
+class TestLazySplits:
+    def test_every_split_bit_matches_the_eager_search(self):
+        for ivs, partner in split_corpus():
+            splits = eager_splits(ivs, partner)
+            deriv = _solve_binary(ivs, partner)
+            for f, (i, k) in first_intervals(ivs).items():
+                s = splits[f]
+                lowest = (s & -s).bit_length() - 1 if s else 0
+                assert deriv.first[f] == lowest, (ivs.pat, partner, i, k)
+                for a in range(1, k - i + 1):
+                    assert deriv.split(i, k, a) == bool(s >> a & 1), (ivs.pat, partner, i, k, a)
+
+    def test_bracketing_takes_the_first_split_and_its_first_witness(self):
+        # The rule the bracketing relies on: every edge has a witness among
+        # its children's eager splits, so the first split of a factor is the
+        # one taken, and its witness is the first matching split of a child.
+        for ivs, partner in split_corpus():
+            splits = eager_splits(ivs, partner)
+            deriv = _solve_binary(ivs, partner)
+            w = ivs.n + 1
+            fid, mask = ivs.fid, ivs.mask
+
+            def points(i, k):
+                s = splits[fid[i * w + k]]
+                return [i + a - 1 for a in range(1, k - i + 1) if s >> a & 1]
+
+            def witness(i, j, k):
+                lf, rf = fid[i * w + j], fid[(j + 1) * w + k]
+                if lf == rf or mask[i * w + j] & mask[(j + 1) * w + k] == 0:
+                    return None
+                for x in points(i, j):
+                    if fid[i * w + x] == rf or fid[(x + 1) * w + j] == rf:
+                        return "left", x
+                for x in points(j + 1, k):
+                    if lf == fid[(j + 1) * w + x] or lf == fid[(x + 1) * w + k]:
+                        return "right", x
+                raise AssertionError(f"edge without a witness: {ivs.pat} [{i}..{j}][{j + 1}..{k}]")
+
+            for i, k in first_intervals(ivs).values():
+                js = points(i, k)
+                if js:
+                    assert _choose_split(deriv, i, k) == (js[0], witness(i, js[0], k)), (ivs.pat, i, k)
+                for j in js:
+                    assert _choose_split(deriv, i, k, forced=j) == (j, witness(i, j, k)), (ivs.pat, i, j, k)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # (x1x2x3)^k asks for split bits beyond each factor's first one: the
+        # scan, the bits it asks for on demand and the bracketing all run
+        # without recursion, under the interpreter's own limit.
+        limit = sys.getrecursionlimit()
+        p = pat("x1 x2 x3") * (limit // 3 + 20)
+        assert is_acyclic_pattern(p)
+        two = find_acyclic_decomposition(p, UNIVERSE)
+        assert two is not None and spelled(two) == p
+        assert sys.getrecursionlimit() == limit
 
 
 def _shown(found) -> str:
