@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
+from .index import longest_previous_factors
 from .model import (
     BLeaf,
     BNode,
@@ -65,10 +66,16 @@ def _require_terminal_free(p: Pattern) -> tuple[Variable, ...]:
 
 
 class _Intervals:
-    """Factor ids and variable masks of all intervals of a pattern.
+    """Factor ids of all intervals of a pattern, and the variable masks of
+    its acyclic factors.
 
-    Both are flat lists indexed by ``i * (n + 1) + j`` for the interval
-    [i..j].  Equal factors share an id wherever they sit.
+    ``fid`` is a flat list indexed by ``i * (n + 1) + j`` for the interval
+    [i..j].  Equal factors share an id wherever they sit: the key
+    ``s * (n + 1) + length`` of the factor's leftmost occurrence, s its
+    0-based start, as ``WordIndex.factor_table`` keys the factors of a word.
+    ``mask`` maps a factor id to the bits of its variable codes; it holds
+    every single variable, and a longer factor once a search finds it
+    acyclic (or localized).
     """
 
     def __init__(self, pat: Sequence[Variable]):
@@ -77,45 +84,71 @@ class _Intervals:
         w = n + 1
         number: dict[Variable, int] = {}
         self.codes = codes = [number.setdefault(v, len(number)) for v in pat]
-        self.fid = fid = [-1] * (w * w)
-        self.mask = mask = [0] * (w * w)
-        # A factor's id is a node of the trie of all factors: the factor one
-        # symbol shorter, extended by its last symbol.
-        trie: dict[int, int] = {}
-        symbols = len(number)
-        for i in range(1, n + 1):
-            m = 0
-            f = -1
-            for j in range(i, n + 1):
-                c = codes[j - 1]
-                m |= 1 << c
-                mask[i * w + j] = m
-                f = trie.setdefault((f + 1) * symbols + c, len(trie))
-                fid[i * w + j] = f
-        self.factors = len(trie)
+        # [i..j] first occurs at i exactly when j - i + 1 > lpf[i - 1].  Up to
+        # there row i repeats the row of an earlier occurrence, past it each
+        # id is a new key: one slice and one range per row, after i unread
+        # entries that keep the rows i * (n + 1) apart.
+        lpf, prev = longest_previous_factors("".join(map(chr, codes)))
+        self.lpf = lpf
+        self.fid = fid = [-1] * w
+        self.mask = mask = {}
+        # joins[L]: the rows whose first new factor longer than 1 has length L.
+        self.joins = joins = {}
+        i = 0
+        for longest, p, c in zip(lpf, prev, codes):
+            i += 1
+            fid += fid[:i]
+            if longest:
+                at = (p + 1) * (w + 1)
+                fid += fid[at:at + longest]
+                if i + longest <= n:
+                    joins.setdefault(longest + 1, []).append(i)
+            else:   # the variable's first occurrence
+                mask[i * w - w + 1] = 1 << c
+                if i < n:
+                    joins.setdefault(2, []).append(i)
+            fid += range(i * w - w + longest + 1, i * w - i + 1)
 
     def fid_of(self, i: int, j: int) -> int:
         return self.fid[i * (self.n + 1) + j]
+
+    def leftmost(self) -> Iterator[tuple[int, list[int], Sequence[int]]]:
+        """For each length L = 2..n: L, the starts i at which a factor of
+        length L first occurs (those with lpf[i - 1] < L), and those of them
+        that were not listed at L - 1.  Every distinct factor comes once,
+        shorter ones first."""
+        n, lpf, joins = self.n, self.lpf, self.joins
+        rows: list[int] = []
+        for length in range(2, n + 1):
+            # Row n + 2 - L, if it ever joined, ran out of symbols at L - 1.
+            if length > 2 and lpf[n + 1 - length] <= length - 2:
+                rows.remove(n + 2 - length)
+            joined = joins.get(length, ())
+            rows += joined
+            yield length, rows, joined
 
 
 class _Derivation:
     """Result of the bottom-up pass: where every factor first splits.
 
     ``first[f]`` is the lowest ``a`` such that cutting factor ``f`` after its
-    ``a``-th symbol is an edge, or 0 when no cut is; a longer factor is
-    acyclic iff it is not 0, and every single variable is acyclic.  Any
-    other split bit is decided on demand by ``split`` and memoised.
-    ``partner`` is as in ``_solve_binary``.
+    ``a``-th symbol is an edge; ``first`` holds the acyclic factors longer
+    than one symbol, every single variable is acyclic too, and any other
+    factor has no split.  Any other split bit is decided on demand by
+    ``split`` and memoised.  The pass visited the factors of length up to
+    ``reached``; no longer one can be acyclic.  ``partner`` is as in
+    ``_solve_binary``.
     """
 
     def __init__(self, ivs: _Intervals, partner: Optional[list[int]]):
         self.ivs = ivs
         self.partner = partner
-        self.first = [-1] * ivs.factors   # -1 until the factor is scanned
+        self.first: dict[int, int] = {}
         self.memo: dict[int, bool] = {}   # bits above first[f], keyed f * (n + 1) + a
+        self.reached = 1
 
     def acyclic(self, i: int, k: int) -> bool:
-        return i == k or self.first[self.ivs.fid_of(i, k)] > 0
+        return i == k or self.first.get(self.ivs.fid_of(i, k), 0) > 0
 
     def split(self, i: int, k: int, a: int) -> bool:
         """Whether cutting [i..k] after its ``a``-th symbol is an edge.
@@ -140,7 +173,7 @@ class _Derivation:
         ``first[f]`` are unset, and a factor with no split has none."""
         w = self.ivs.n + 1
         f = self.ivs.fid[i * w + k]
-        b = self.first[f]
+        b = self.first.get(f, 0)
         if a <= b or b == 0:
             return a == b
         return self.memo.get(f * w + a)
@@ -160,7 +193,7 @@ class _Derivation:
         edge = False
         if (self.acyclic(i, j) and self.acyclic(j + 1, k)
                 and (self.partner is None or _pair_ok(ivs, self.partner, i, j, k))):
-            edge = lf == rf or mask[i * w + j] & mask[(j + 1) * w + k] == 0
+            edge = lf == rf or mask[lf] & mask[rf] == 0
             tries: tuple = ()
             if lb < la:
                 tries = ((i, j, lb, fid[i * w + i + lb - 1] == rf),
@@ -179,15 +212,22 @@ class _Derivation:
 
 
 def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Derivation:
-    """Grow acyclic intervals in increasing length order.
+    """Grow acyclic factors in increasing length order.
 
     Children of an edge are strictly shorter than its parent, so a single
     ordered pass reaches the fixed point.  Whether an interval is acyclic,
-    and where it splits, depends only on the factor it spells: the first
-    interval spelling a factor tries its candidate splits in ascending order
-    and stops at the first edge, later ones copy the verdict.  Other split
-    bits are left to ``_Derivation.split``, which an edge condition here
-    calls only for a child whose factor matches the sibling.
+    and where it splits, depends only on the factor it spells, so the pass
+    visits each distinct factor once, at its leftmost occurrence.  It tries
+    the candidate splits in ascending order and stops at the first edge.
+    The candidates are one AND of two bitsets: its acyclic prefixes, kept
+    per row, and the acyclic parts of its suffix one symbol shorter, kept
+    per factor.  Other split bits are left to
+    ``_Derivation.split``, which an edge condition here calls only for a
+    child whose factor matches the sibling.
+
+    An acyclic factor of length m >= 2 has two acyclic children, one at
+    least m/2 long.  So once no factor of length L..2L-2 is acyclic, no
+    longer one is, and the pass stops.
     ``partner`` holds, per variable code, the variable mask of the required
     pair the variable is in, or 0 (the constrained variant; see
     ``_pair_ok``).
@@ -197,51 +237,60 @@ def _solve_binary(ivs: _Intervals, partner: Optional[list[int]] = None) -> _Deri
     fid, mask = ivs.fid, ivs.mask
     deriv = _Derivation(ivs, partner)
     first, split = deriv.first, deriv.split
-    # Bit j of start[i], and bit i - 1 of end[j]: [i..j] is known acyclic.
-    start = [0] * (n + 1)
-    end = [0] * (n + 1)
-    for i in range(1, n + 1):
-        first[fid[i * w + i]] = 0
-        start[i] = 1 << i
-        end[i] = 1 << (i - 1)
-
-    for length in range(2, n + 1):
-        for i in range(1, n - length + 2):
-            k = i + length - 1
+    # Bit a of pre[i]: [i..i+a-1] is acyclic, for the lengths a reached.  A
+    # row that joins at length L takes the bits of the row of the leftmost
+    # occurrence of its prefix of length L - 1, which has been a row since.
+    pre = [2] * w
+    # Bit a of suf[f]: factor f less its first a symbols is acyclic.
+    suf = dict.fromkeys(mask, 1)
+    top = 1   # the longest acyclic factor so far
+    for length, rows, joined in ivs.leftmost():
+        if length > 2 * top:
+            break
+        deriv.reached = length
+        if length > 2:
+            for i in joined:
+                pre[i] = pre[fid[i * w + i + length - 2] // w + 1]
+        for i in rows:
             at = i * w
-            f = fid[at + k]
-            s = first[f]
-            if s < 0:
-                s = 0
-                candidates = start[i] & end[k]
-                while candidates:
-                    low = candidates & -candidates
-                    candidates ^= low
-                    j = low.bit_length() - 1
-                    la, lb = j + 1 - i, k - j
-                    lf, rf = fid[at + j], fid[(j + 1) * w + k]
-                    # Equal halves, disjoint variables, or one half equal to
-                    # an edge child of the other: a child of length l is the
-                    # prefix or the suffix of that length.  A bit at or below
-                    # the child's first split is known without a call.
-                    if (lf == rf or mask[at + j] & mask[(j + 1) * w + k] == 0
-                            or lb < la and (fid[at + i + lb - 1] == rf
-                                            and (first[lf] == lb or first[lf] < lb and split(i, j, lb))
-                                            or fid[(j + 1 - lb) * w + j] == rf
-                                            and (first[lf] == la - lb
-                                                 or first[lf] < la - lb and split(i, j, la - lb)))
-                            or la < lb and (fid[(j + 1) * w + j + la] == lf
-                                            and (first[rf] == la or first[rf] < la and split(j + 1, k, la))
-                                            or fid[(k + 1 - la) * w + k] == lf
-                                            and (first[rf] == lb - la
-                                                 or first[rf] < lb - la and split(j + 1, k, lb - la)))):
-                        if partner is None or _pair_ok(ivs, partner, i, j, k):
-                            s = la
-                            break
-                first[f] = s
+            k = i + length - 1
+            after = suf[fid[at + w + k]] << 1   # suf of this factor, less its own bit
+            s = 0
+            candidates = pre[i] & after
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                la = low.bit_length() - 1
+                j = i + la - 1
+                lb = length - la
+                lf, rf = fid[at + j], fid[(j + 1) * w + k]
+                # Equal halves, disjoint variables, or one half equal to an
+                # edge child of the other: a child of length l is the prefix
+                # or the suffix of that length.  A bit at or below the
+                # child's first split is known without a call.
+                if (lf == rf or mask[lf] & mask[rf] == 0
+                        or lb < la and (fid[at + i + lb - 1] == rf
+                                        and (first[lf] == lb or first[lf] < lb and split(i, j, lb))
+                                        or fid[(j + 1 - lb) * w + j] == rf
+                                        and (first[lf] == la - lb
+                                             or first[lf] < la - lb and split(i, j, la - lb)))
+                        or la < lb and (fid[(j + 1) * w + j + la] == lf
+                                        and (first[rf] == la or first[rf] < la and split(j + 1, k, la))
+                                        or fid[(k + 1 - la) * w + k] == lf
+                                        and (first[rf] == lb - la
+                                             or first[rf] < lb - la and split(j + 1, k, lb - la)))):
+                    if partner is None or _pair_ok(ivs, partner, i, j, k):
+                        s = la
+                        break
+            f = at - w + length
             if s:
-                start[i] |= 1 << k
-                end[k] |= 1 << (i - 1)
+                first[f] = s
+                mask[f] = mask[lf] | mask[rf]
+                pre[i] |= 1 << length
+                suf[f] = after | 1
+                top = length
+            else:
+                suf[f] = after
 
     return deriv
 
@@ -252,13 +301,14 @@ def _pair_ok(ivs: _Intervals, partner: list[int], i: int, j: int, k: int) -> boo
     variables, and a paired single variable is concatenated only to a part
     over exactly its pair.  Depends on the factor's contents alone."""
     w = ivs.n + 1
+    fid, mask = ivs.fid, ivs.mask
     a, b = partner[ivs.codes[i - 1]], partner[ivs.codes[k - 1]]
     if i + 1 == k:
-        return a == b == 0 or a == ivs.mask[i * w + k]
+        return a == b == 0 or a == mask[fid[i * w + i]] | mask[fid[k * w + k]]
     if i == j:
-        return a == 0 or a == ivs.mask[(j + 1) * w + k]
+        return a == 0 or a == mask[fid[(j + 1) * w + k]]
     if j + 1 == k:
-        return b == 0 or b == ivs.mask[i * w + j]
+        return b == 0 or b == mask[fid[i * w + j]]
     return True
 
 
@@ -314,7 +364,7 @@ def _choose_split(deriv: _Derivation, i: int, k: int,
     fid = ivs.fid
     j = forced if forced is not None else i + deriv.first[fid[i * w + k]] - 1
     lf, rf = fid[i * w + j], fid[(j + 1) * w + k]
-    if lf == rf or ivs.mask[i * w + j] & ivs.mask[(j + 1) * w + k] == 0:
+    if lf == rf or ivs.mask[lf] & ivs.mask[rf] == 0:
         return j, None
     la, lb = j + 1 - i, k - j
     if lb < la:
@@ -531,7 +581,7 @@ def _constrained_search(p: Pattern, pairs: Iterable[frozenset[Variable]]
     # two different partners, giving two x-parents whose meeting point is not
     # one: always cyclic.
     pool = set().union(*pair_set)
-    if len(pool) < 2 * len(pair_set) or not pool <= vars_of(p):
+    if pool and (len(pool) < 2 * len(pair_set) or not pool <= vars_of(p)):
         return None
     if not pat:
         return None
@@ -641,56 +691,53 @@ class _KaryDerivation:
     ``tuples[f]`` lists the localized tuples of factor ``f`` as tuples of
     part factor ids, fewer parts first, then lexicographically by cut
     points; a longer factor is k-ary local iff its list is not empty.
-    ``leaves`` maps each single-variable factor to its variable.
+    ``masks`` maps each factor to its variable bits, and ``leaves`` each
+    single-variable factor to its variable.
     """
 
-    tuples: list[list[tuple[int, ...]]]
-    masks: list[int]
+    tuples: dict[int, list[tuple[int, ...]]]
+    masks: dict[int, int]
     leaves: dict[int, Variable]
 
 
 def _solve_kary(ivs: _Intervals, arity: int) -> _KaryDerivation:
-    """Grow localized intervals in increasing length order, once per
-    distinct factor: the first interval spelling a factor tries all its
-    compositions into 2..arity acyclic parts, later ones reuse the result.
-    Unlike ``_solve_binary`` it keeps every tuple, not just the first, since
-    the derivation may backtrack to any of them.  Siblings must be equal,
-    share no variable, or one must be a part of a tuple of the other."""
+    """Grow localized factors in increasing length order, each distinct
+    factor once, at its leftmost occurrence: it tries all its compositions
+    into 2..arity localized parts.  Unlike ``_solve_binary`` it keeps every
+    tuple, not just the first, since the derivation may backtrack to any of
+    them.  Siblings must be equal, share no variable, or one must be a part
+    of a tuple of the other."""
     n = ivs.n
     w = n + 1
     fid, mask = ivs.fid, ivs.mask
-    tuples: list = [None] * ivs.factors
-    kids: list[set[int]] = [set() for _ in range(ivs.factors)]
-    masks = [0] * ivs.factors
+    tuples: dict[int, list[tuple[int, ...]]] = {}
     leaves: dict[int, Variable] = {}
-    # Bit j of start[i]: [i..j] is known localized.
-    start = [0] * (n + 1)
     for i in range(1, n + 1):
         f = fid[i * w + i]
-        tuples[f], masks[f], leaves[f] = [], mask[i * w + i], ivs.pat[i - 1]
-        start[i] = 1 << i
-
-    for length in range(2, n + 1):
-        for i in range(1, n - length + 2):
+        tuples[f], leaves[f] = [], ivs.pat[i - 1]
+    local = set(leaves)
+    # The parts of the tuples of each localized factor.
+    kids: dict[int, Collection[int]] = dict.fromkeys(leaves, ())
+    for length, rows, _ in ivs.leftmost():
+        for i in rows:
             k = i + length - 1
-            f = fid[i * w + k]
-            found = tuples[f]
-            if found is None:
-                found = tuples[f] = []
-                masks[f] = mask[i * w + k]
-                for parts in range(2, min(arity, length) + 1):
-                    for cuts in combinations(range(i, k), parts - 1):
-                        bounds = (i - 1,) + cuts + (k,)
-                        if not all(start[a + 1] >> b & 1 for a, b in zip(bounds, bounds[1:])):
-                            continue
-                        comp = tuple(fid[(a + 1) * w + b] for a, b in zip(bounds, bounds[1:]))
-                        if all(u == v or masks[u] & masks[v] == 0 or u in kids[v] or v in kids[u]
-                               for x, u in enumerate(comp) for v in comp[x + 1:]):
-                            found.append(comp)
-                            kids[f].update(comp)
+            f = i * w - w + length
+            found = tuples[f] = []
+            for parts in range(2, min(arity, length) + 1):
+                for cuts in combinations(range(i, k), parts - 1):
+                    bounds = (i - 1,) + cuts + (k,)
+                    comp = tuple(fid[(a + 1) * w + b] for a, b in zip(bounds, bounds[1:]))
+                    if local.issuperset(comp) and all(
+                            u == v or mask[u] & mask[v] == 0 or u in kids[v] or v in kids[u]
+                            for x, u in enumerate(comp) for v in comp[x + 1:]):
+                        found.append(comp)
             if found:
-                start[i] |= 1 << k
-    return _KaryDerivation(tuples, masks, leaves)
+                kids[f] = set().union(*found)
+                mask[f] = 0
+                for u in found[0]:
+                    mask[f] |= mask[u]
+                local.add(f)
+    return _KaryDerivation(tuples, mask, leaves)
 
 
 def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,

@@ -11,8 +11,8 @@ from conftest import alpha_equivalent, canonical_patterns, pat, two_from_text, v
 from wordeq.decompose import (
     _choose_split,
     _Intervals,
-    _pair_ok,
     _solve_binary,
+    _solve_kary,
     concat_tree_of,
     constrained_acyclic_bracketing,
     decompose_atom_with_constraints,
@@ -62,15 +62,59 @@ def assert_valid_decomposition(two, root, pattern):
     assert gyo([(eq, eq.variables()) for eq in two.equations]) is not None
 
 
-def eager_splits(ivs, partner=None) -> list[int]:
-    """The reference split sets, per factor id: bit ``a`` of ``splits[f]``
-    is set when cutting factor ``f`` after its ``a``-th symbol is an edge.
-    Every candidate split of the first interval spelling a factor is
-    checked, none left for later."""
-    n = ivs.n
+class TrieIntervals:
+    """Reference factor ids and variable masks of all intervals, flat lists
+    indexed by ``i * (n + 1) + j`` for [i..j], filled one interval at a time
+    as the search once did: a factor's id is a node of the trie of all
+    factors, the factor one symbol shorter extended by its last symbol."""
+
+    def __init__(self, pat):
+        self.pat = tuple(pat)
+        n = self.n = len(pat)
+        w = n + 1
+        number = {}
+        self.codes = codes = [number.setdefault(x, len(number)) for x in pat]
+        self.fid = fid = [-1] * (w * w)
+        self.mask = mask = [0] * (w * w)
+        trie = {}
+        symbols = len(number)
+        for i in range(1, n + 1):
+            m = 0
+            f = -1
+            for j in range(i, n + 1):
+                c = codes[j - 1]
+                m |= 1 << c
+                mask[i * w + j] = m
+                f = trie.setdefault((f + 1) * symbols + c, len(trie))
+                fid[i * w + j] = f
+        self.factors = len(trie)
+
+
+def pair_ok(ref, partner, i, j, k) -> bool:
+    """The pair rule of the constrained search on reference masks: a length-2
+    seed is a required pair or two unpaired variables, and a paired single
+    variable is concatenated only to a part over exactly its pair."""
+    w = ref.n + 1
+    a, b = partner[ref.codes[i - 1]], partner[ref.codes[k - 1]]
+    if i + 1 == k:
+        return a == b == 0 or a == ref.mask[i * w + k]
+    if i == j:
+        return a == 0 or a == ref.mask[(j + 1) * w + k]
+    if j + 1 == k:
+        return b == 0 or b == ref.mask[i * w + j]
+    return True
+
+
+def eager_splits(ref, partner=None) -> list[int]:
+    """The reference split sets, per reference factor id: bit ``a`` of
+    ``splits[f]`` is set when cutting factor ``f`` after its ``a``-th symbol
+    is an edge.  Every interval is visited, in length order, and every
+    candidate split of the first interval spelling a factor is checked,
+    none left for later."""
+    n = ref.n
     w = n + 1
-    fid, mask = ivs.fid, ivs.mask
-    splits = [-1] * ivs.factors
+    fid, mask = ref.fid, ref.mask
+    splits = [-1] * ref.factors
     start = [0] * (n + 1)
     end = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -99,7 +143,7 @@ def eager_splits(ivs, partner=None) -> list[int]:
                             or la < lb and (splits[rf] >> la & 1 and fid[(j + 1) * w + j + la] == lf
                                             or splits[rf] >> (lb - la) & 1
                                             and fid[(k + 1 - la) * w + k] == lf)):
-                        if partner is None or _pair_ok(ivs, partner, i, j, k):
+                        if partner is None or pair_ok(ref, partner, i, j, k):
                             s |= 1 << la
                 splits[f] = s
             if s:
@@ -111,7 +155,8 @@ def eager_splits(ivs, partner=None) -> list[int]:
 def split_corpus():
     """Patterns, each with no pairs and with the partner masks of one random
     pair: every pattern of up to 7 symbols over 4 variables, seeded random
-    patterns of up to 40 symbols and block patterns of up to 60."""
+    patterns of up to 40 symbols and block patterns of up to 60.  Each comes
+    with the search's intervals and the reference ones."""
     rng = random.Random(67)
     pool = [Variable(f"x{i}") for i in range(1, 6)]
     patterns = list(canonical_patterns(7, 4))
@@ -123,8 +168,8 @@ def split_corpus():
         length = rng.randint(1, 60)
         patterns.append(tuple(block * (length // len(block) + 1))[:length])
     for p in patterns:
-        ivs = _Intervals(p)
-        yield ivs, None
+        ivs, ref = _Intervals(p), TrieIntervals(p)
+        yield ivs, ref, None
         xs = sorted(set(p), key=lambda x: x.name)
         if len(xs) >= 2:
             pair = rng.sample(xs, 2)
@@ -132,16 +177,16 @@ def split_corpus():
             partner = [0] * len(code)
             for x in pair:
                 partner[code[x]] = sum(1 << code[y] for y in pair)
-            yield ivs, partner
+            yield ivs, ref, partner
 
 
-def first_intervals(ivs):
-    """The first interval [i..k] spelling each factor, by factor id."""
-    w = ivs.n + 1
+def first_intervals(ref):
+    """The first interval [i..k] spelling each factor, by reference id."""
+    w = ref.n + 1
     at = {}
-    for i in range(1, ivs.n + 1):
-        for k in range(i, ivs.n + 1):
-            at.setdefault(ivs.fid[i * w + k], (i, k))
+    for i in range(1, ref.n + 1):
+        for k in range(i, ref.n + 1):
+            at.setdefault(ref.fid[i * w + k], (i, k))
     return at
 
 
@@ -188,27 +233,79 @@ class TestIsAcyclicPattern:
                     assert deriv.acyclic(i, k) == is_acyclic_pattern(p[i - 1:k]), (p, i, k)
 
 
+class TestFactorIds:
+    def test_ids_are_leftmost_keys(self):
+        # Two intervals share an id iff they spell the same factor (the
+        # reference trie ids say which do), and each id is the key
+        # start * (n + 1) + length of the factor's leftmost occurrence.
+        for ivs, ref, partner in split_corpus():
+            if partner is not None:
+                continue
+            p, n = ivs.pat, ivs.n
+            w = n + 1
+            to_ref, from_ref, leftmost = {}, {}, {}
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    f, g = ivs.fid[i * w + j], ref.fid[i * w + j]
+                    assert to_ref.setdefault(f, g) == g and from_ref.setdefault(g, f) == f, (p, i, j)
+                    assert f == leftmost.setdefault(p[i - 1:j], (i - 1) * w + j - i + 1), (p, i, j)
+            assert len(to_ref) == ref.factors
+
+
 class TestLazySplits:
     def test_every_split_bit_matches_the_eager_search(self):
-        for ivs, partner in split_corpus():
-            splits = eager_splits(ivs, partner)
+        # Up to the length where the pass stopped, every factor's first
+        # split is the eager search's lowest one.  Past it no factor has a
+        # split in the eager search either, and none is acyclic.
+        for ivs, ref, partner in split_corpus():
+            splits = eager_splits(ref, partner)
             deriv = _solve_binary(ivs, partner)
-            for f, (i, k) in first_intervals(ivs).items():
-                s = splits[f]
-                lowest = (s & -s).bit_length() - 1 if s else 0
-                assert deriv.first[f] == lowest, (ivs.pat, partner, i, k)
+            assert 1 <= deriv.reached <= max(ivs.n, 1)
+            w = ivs.n + 1
+            for g, (i, k) in first_intervals(ref).items():
+                s, f = splits[g], ivs.fid[i * w + k]
+                if k - i + 1 <= deriv.reached:
+                    lowest = (s & -s).bit_length() - 1 if s else 0
+                    assert deriv.first.get(f, 0) == lowest, (ivs.pat, partner, i, k)
+                else:
+                    assert s == 0 and not deriv.acyclic(i, k), (ivs.pat, partner, i, k)
                 for a in range(1, k - i + 1):
                     assert deriv.split(i, k, a) == bool(s >> a & 1), (ivs.pat, partner, i, k, a)
+
+    def test_long_random_patterns_match_the_eager_search(self):
+        # Random patterns have short acyclic factors only, so the pass stops
+        # early on the long ones; a block pattern with one symbol changed
+        # has long acyclic factors, so it stops late or not at all.  Each
+        # verdict must be the eager search's.
+        rng = random.Random(29)
+        pool = [Variable(f"x{i}") for i in range(1, 6)]
+        verdicts, stopped = [], 0
+        for t in range(90):
+            xs = pool[:3 + t % 3]
+            if t % 3 == 2:
+                block = rng.sample(xs, rng.randint(1, len(xs)))
+                p = list(block * 200)[:rng.randint(1, 200)]
+                p[rng.randrange(len(p))] = rng.choice(xs)
+                p = tuple(p)
+            else:
+                p = tuple(rng.choice(xs) for _ in range(rng.randint(1, 200 if t % 3 else 16)))
+            ref = TrieIntervals(p)
+            eager = eager_splits(ref)[ref.fid[2 * ref.n + 1]] > 0 or len(p) == 1
+            deriv = _solve_binary(_Intervals(p))
+            assert is_acyclic_pattern(p) == deriv.acyclic(1, len(p)) == eager, p
+            verdicts.append(eager)
+            stopped += deriv.reached < len(p)
+        assert stopped >= 20 and verdicts.count(True) >= 20
 
     def test_bracketing_takes_the_first_split_and_its_first_witness(self):
         # The rule the bracketing relies on: every edge has a witness among
         # its children's eager splits, so the first split of a factor is the
         # one taken, and its witness is the first matching split of a child.
-        for ivs, partner in split_corpus():
-            splits = eager_splits(ivs, partner)
+        for ivs, ref, partner in split_corpus():
+            splits = eager_splits(ref, partner)
             deriv = _solve_binary(ivs, partner)
             w = ivs.n + 1
-            fid, mask = ivs.fid, ivs.mask
+            fid, mask = ref.fid, ref.mask
 
             def points(i, k):
                 s = splits[fid[i * w + k]]
@@ -226,7 +323,7 @@ class TestLazySplits:
                         return "right", x
                 raise AssertionError(f"edge without a witness: {ivs.pat} [{i}..{j}][{j + 1}..{k}]")
 
-            for i, k in first_intervals(ivs).values():
+            for i, k in first_intervals(ref).values():
                 js = points(i, k)
                 if js:
                     assert _choose_split(deriv, i, k) == (js[0], witness(i, js[0], k)), (ivs.pat, i, k)
@@ -529,6 +626,28 @@ class TestKary:
             sys.setrecursionlimit(limit)
         assert two is not None
         assert spelled(two) == p
+
+    def test_state_is_kept_per_factor(self):
+        # The k-ary fixed point keys its tuples and masks by factor id, the
+        # leftmost key of each factor: every factor has a list of tuples,
+        # and every localized one its variables as a mask.
+        rng = random.Random(31)
+        pool = [Variable(f"x{i}") for i in range(1, 5)]
+        for _ in range(80):
+            p = tuple(rng.choice(pool[:rng.randint(1, 4)]) for _ in range(rng.randint(1, 12)))
+            ivs = _Intervals(p)
+            deriv = _solve_kary(ivs, 3)
+            w = ivs.n + 1
+            ids = {ivs.fid[i * w + k] for i in range(1, w) for k in range(i, w)}
+            assert set(deriv.tuples) == ids, p
+            code = dict(zip(p, ivs.codes))
+            for f, found in deriv.tuples.items():
+                i, length = f // w + 1, f % w
+                assert ivs.fid[i * w + i + length - 1] == f, (p, f)
+                if found or length == 1:
+                    assert deriv.masks[f] == sum(1 << code[x] for x in set(p[i - 1:i - 1 + length])), (p, f)
+                for t in found:
+                    assert all(u in deriv.leaves or deriv.tuples[u] for u in t), (p, f, t)
 
     def test_outputs_beyond_the_golden_set(self):
         # sha256 of the k = 3 and k = 4 outputs below as printed by the
