@@ -16,7 +16,6 @@ from .model import (
     BLeaf,
     BNode,
     Bracketing,
-    ConcatenationTree,
     FreshVars,
     NotTerminalFreeError,
     Pattern,
@@ -25,7 +24,6 @@ from .model import (
     UNIVERSE,
     Variable,
     WordEquation,
-    bracketing_pattern,
     is_terminal_free,
     vars_of,
 )
@@ -478,80 +476,6 @@ def find_acyclic_decomposition(p: Pattern, root: Variable = UNIVERSE,
         fresh = FreshVars(v.name for v in vars_of(p) | {root})
     b, ivs = found
     return _decomposition_of(b, root, fresh, ivs)
-
-
-# --- bracketings ---------------------------------------------------------------
-
-
-def decompose_bracketing(b: Bracketing, root: Variable = UNIVERSE,
-                         fresh: Optional[FreshVars] = None) -> TwoFcCq:
-    """Bottom-up replacement of sub-bracketings by introduced variables.
-
-    Equal sub-bracketings share one introduced variable; the outermost node is
-    named ``root``.  A single leaf yields the copy equation root = x.
-    """
-    if fresh is None:
-        fresh = FreshVars(v.name for v in vars_of(bracketing_pattern(b)) | {root})
-    equations: list[SmallEquation] = []
-    memo: dict[tuple[Variable, ...], Variable] = {}
-
-    def descend(node: Bracketing) -> Variable:
-        if isinstance(node, BLeaf):
-            return node.var
-        key = tuple(descend(c) for c in node.children)  # type: ignore[union-attr]
-        if key not in memo:
-            z = fresh.fresh("z")
-            memo[key] = z
-            equations.append(SmallEquation(z, key))
-        return memo[key]
-
-    if isinstance(b, BLeaf):
-        equations.append(SmallEquation(root, (b.var,)))
-    else:
-        key = tuple(descend(c) for c in b.children)
-        equations.append(SmallEquation(root, key))
-    return TwoFcCq(head=(), equations=tuple(equations),
-                   introduced=frozenset(memo.values()))
-
-
-def concat_tree_of(two: TwoFcCq, root_var: Variable) -> ConcatenationTree:
-    """Recursive (then pruned) concatenation tree of a decomposition."""
-    defs = two.defining()
-    root_eq = two.root_equation()
-    assert root_eq.lhs == root_var
-    labels: list[Variable] = []
-    children: list[tuple[int, ...]] = []
-
-    def build(label: Variable, expand: Optional[SmallEquation]) -> int:
-        idx = len(labels)
-        labels.append(label)
-        children.append(())
-        if expand is not None:
-            children[idx] = tuple(build(v, defs.get(v)) for v in expand.rhs)
-        return idx
-
-    build(root_var, root_eq)
-    keep = set(_expanded(labels, children))
-    live = sorted({0}.union(*(children[v] for v in keep)))
-    at = {v: i for i, v in enumerate(live)}
-    return ConcatenationTree(
-        labels=tuple(labels[v] for v in live),
-        children=tuple(tuple(at[c] for c in children[v]) if v in keep else () for v in live),
-    )
-
-
-def is_acyclic_bracketing(b: Bracketing) -> bool:
-    """True iff the decomposition of the bracketing is x-localized for every x.
-
-    Only meaningful for binary bracketings: at higher arities localization is
-    sufficient but no longer necessary for acyclicity.
-    """
-    from .model import bracketing_arity
-
-    if bracketing_arity(b) > 2:
-        raise ValueError("localization characterizes acyclicity for binary bracketings only")
-    two = decompose_bracketing(b, UNIVERSE)
-    return concat_tree_of(two, UNIVERSE).is_localized()
 
 
 # --- constrained decomposition (pairs that must share an atom) ------------------

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bridge import SercqAst, svars
+from .decompose import terminal_free_core
 from .model import (
     Alphabet,
     FcCq,
@@ -512,21 +513,8 @@ def _printed(node: RegexAst, sigma: Optional[RegexAst], quote_literals: bool) ->
 
 
 def print_pattern(p: Pattern) -> str:
-    if not p:
-        return "''"
-    parts: list[str] = []
-    run: list[str] = []
-    for item in p:
-        if isinstance(item, Variable):
-            if run:
-                parts.append("'" + "".join(run) + "'")
-                run = []
-            parts.append(item.name)
-        else:
-            run.append(item)
-    if run:
-        parts.append("'" + "".join(run) + "'")
-    return ".".join(parts)
+    core, blocks = terminal_free_core(p)
+    return ".".join(f"'{blocks[x]}'" if x in blocks else x.name for x in core) or "''"
 
 
 def print_query(q: FcCq, alphabet: Optional[Alphabet] = None) -> str:

@@ -112,7 +112,8 @@ def z_function(s: str) -> list[int]:
 
 
 def _z_suffix_starts(word: str) -> list[int]:
-    """`leftmost_suffix_starts` by one Z-function pass, O(n) in Python.
+    """starts[m] = the leftmost start of the suffix of length m, by one
+    Z-function pass, O(n) in Python.
 
     On the reversed word, z[n - e] is the longest common suffix of `word` and
     `word[:e]`; the suffix of length m first ends at the smallest e where that
@@ -195,12 +196,6 @@ def longest_previous_factors(word: str) -> tuple[list[int], list[int]]:
             k += 1
         lpf[i], prev[i] = k, j
     return lpf, prev
-
-
-def leftmost_suffix_starts(word: str) -> list[int]:
-    """starts[m] = the leftmost start of the suffix of length m, read off
-    `WordIndex.suffix_ids`."""
-    return list(map(floordiv, WordIndex(word).suffix_ids(), repeat(len(word) + 1)))
 
 
 class WordIndex:

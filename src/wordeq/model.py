@@ -305,12 +305,6 @@ def bracketing_pattern(b: Bracketing) -> Pattern:
     return tuple(out)
 
 
-def bracketing_arity(b: Bracketing) -> int:
-    if isinstance(b, BLeaf):
-        return 2
-    return max(len(b.children), *(bracketing_arity(c) for c in b.children))
-
-
 @dataclass(frozen=True)
 class SmallEquation:
     """Word equation with a right-hand side of bounded length (1..k)."""
@@ -376,59 +370,6 @@ class TwoFcCq:
         for v in root_eqs[0].rhs:
             out.extend(grow(v))
         return tuple(out)
-
-
-# --- concatenation trees -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConcatenationTree:
-    """Pruned derivation tree of a decomposition.
-
-    ``children[v]`` lists the (ordered, left to right) children of node ``v``;
-    pruned nodes keep their label but have no children.
-    """
-
-    labels: tuple[Variable, ...]
-    children: tuple[tuple[int, ...], ...]
-    root: int = 0
-
-    def parents(self) -> list[Optional[int]]:
-        par: list[Optional[int]] = [None] * len(self.labels)
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                par[c] = v
-        return par
-
-    def x_parents(self, x: Variable) -> list[int]:
-        """Nodes with a child labelled ``x``."""
-        return [v for v, kids in enumerate(self.children)
-                if any(self.labels[c] == x for c in kids)]
-
-    def is_x_localized(self, x: Variable) -> bool:
-        """True iff all nodes on paths between x-parents are x-parents."""
-        marked = set(self.x_parents(x))
-        if len(marked) <= 1:
-            return True
-        # The x-parents must induce a connected subtree.
-        par = self.parents()
-        depth = [0] * len(self.labels)
-        order = [self.root]
-        for v in order:
-            for c in self.children[v]:
-                depth[c] = depth[v] + 1
-                order.append(c)
-        # Connected iff every marked node except the shallowest has its parent
-        # marked: following parents from any marked node then reaches it.
-        top = min(marked, key=lambda v: depth[v])
-        return all(v == top or par[v] in marked for v in marked)
-
-    def is_localized(self) -> bool:
-        seen: set[Variable] = set()
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                seen.add(self.labels[c])
-        return all(self.is_x_localized(x) for x in seen)
 
 
 # --- join trees and the mark-and-absorb algorithm ----------------------------

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .model import (
     BLeaf,
     BNode,
     Bracketing,
     FcCq,
+    FreshVars,
     Pattern,
     RBind,
     RConcat,
@@ -22,10 +23,15 @@ from .model import (
     RStar,
     RUnion,
     RegexAst,
+    SmallEquation,
     TooLargeError,
+    TwoFcCq,
+    UNIVERSE,
     Variable,
+    bracketing_pattern,
     gyo,
     is_terminal_free,
+    vars_of,
 )
 from .nfa import thompson
 
@@ -172,37 +178,41 @@ def all_bracketings(p: Pattern) -> list[Bracketing]:
     return list(rec(0, len(items)))
 
 
-def _decompose(b: Bracketing, counter: list[int],
-               memo: dict, root_name: str) -> tuple[list[tuple[str, str, str]], str]:
-    # Independent mini-decomposer: atoms as (lhs, r1, r2) name triples.
-    atoms: list[tuple[str, str, str]] = []
+def decompose_bracketing(b: Bracketing, root: Variable = UNIVERSE,
+                         fresh: Optional[FreshVars] = None) -> TwoFcCq:
+    """Bottom-up replacement of sub-bracketings by introduced variables.
 
-    def rec(node: Bracketing) -> str:
+    Equal sub-bracketings share one introduced variable; the outermost node is
+    named ``root``.  A single leaf yields the copy equation root = x.
+    """
+    if fresh is None:
+        fresh = FreshVars(v.name for v in vars_of(bracketing_pattern(b)) | {root})
+    equations: list[SmallEquation] = []
+    memo: dict[tuple[Variable, ...], Variable] = {}
+
+    def descend(node: Bracketing) -> Variable:
         if isinstance(node, BLeaf):
-            return node.var.name
-        key = tuple(rec(c) for c in node.children)  # type: ignore[union-attr]
+            return node.var
+        key = tuple(descend(c) for c in node.children)  # type: ignore[union-attr]
         if key not in memo:
-            counter[0] += 1
-            memo[key] = f"#{counter[0]}"
-            atoms.append((memo[key], *key))
+            z = fresh.fresh("z")
+            memo[key] = z
+            equations.append(SmallEquation(z, key))
         return memo[key]
 
     if isinstance(b, BLeaf):
-        return [(root_name, b.var.name, "")], root_name
-    key = tuple(rec(c) for c in b.children)
-    atoms.append((root_name, *key))
-    return atoms, root_name
+        equations.append(SmallEquation(root, (b.var,)))
+    else:
+        key = tuple(descend(c) for c in b.children)
+        equations.append(SmallEquation(root, key))
+    return TwoFcCq(head=(), equations=tuple(equations),
+                   introduced=frozenset(memo.values()))
 
 
 def bracketing_is_acyclic(b: Bracketing) -> bool:
-    """Decompose the bracketing and run the mark-and-absorb test; the root is
-    treated as a constant (it plays the universe role)."""
-    atoms, root = _decompose(b, [0], {}, "#root")
-    payload = []
-    for lhs, r1, r2 in atoms:
-        names = {n for n in (lhs, r1, r2) if n and n != root}
-        payload.append(((lhs, r1, r2), {Variable(n) for n in names}))
-    return gyo(payload) is not None
+    """Decompose the bracketing and run the mark-and-absorb test.  The root
+    is the universe variable, which `gyo` drops, so it acts as a constant."""
+    return gyo([(eq, eq.variables()) for eq in decompose_bracketing(b).equations]) is not None
 
 
 def brute_acyclic(p: Pattern) -> bool:

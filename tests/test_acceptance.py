@@ -12,7 +12,7 @@ import pytest
 from conftest import AB, all_words, alpha_equivalent, pat, random_fccq, two_from_text, v
 from wordeq.bridge import is_pseudo_acyclic, pseudo_acyclic_to_acyclic_fccq
 from wordeq.cli import main as cli_main
-from wordeq.decompose import decompose_bracketing, find_acyclic_decomposition, is_acyclic_pattern
+from wordeq.decompose import find_acyclic_decomposition, is_acyclic_pattern
 from wordeq.evaluator import (
     Relation,
     check_universality,
@@ -39,6 +39,7 @@ from wordeq.oracle import (
     brute_evaluate,
     brute_pattern_member,
     brute_sercq_evaluate,
+    decompose_bracketing,
 )
 from wordeq.planner import plan, skeleton_of
 from test_bridge import random_sercq
@@ -88,7 +89,7 @@ def test_ac01_cyclic_pattern_reproduction(capsys):
 
 
 def test_ac02_localization_characterization():
-    from wordeq.decompose import is_acyclic_bracketing
+    from localization import is_acyclic_bracketing
 
     start = time.time()
     cache: dict[tuple, None] = {}

@@ -8,17 +8,15 @@ import sys
 import pytest
 
 from conftest import alpha_equivalent, canonical_patterns, pat, two_from_text, v
+from localization import concat_tree_of, is_acyclic_bracketing
 from wordeq.decompose import (
     _choose_split,
     _Intervals,
     _solve_binary,
     _solve_kary,
-    concat_tree_of,
     constrained_acyclic_bracketing,
     decompose_atom_with_constraints,
-    decompose_bracketing,
     find_acyclic_decomposition,
-    is_acyclic_bracketing,
     is_acyclic_pattern,
     k_ary_local_decomposition,
     terminal_free_core,
@@ -32,7 +30,7 @@ from wordeq.model import (
     WordEquation,
     gyo,
 )
-from wordeq.oracle import all_bracketings, bracketing_is_acyclic, brute_acyclic
+from wordeq.oracle import all_bracketings, bracketing_is_acyclic, brute_acyclic, decompose_bracketing
 
 
 def L(name: str) -> BLeaf:
@@ -590,6 +588,9 @@ class TestKary:
         assert alpha_equivalent(two, expected)
         assert gyo([(eq, eq.variables()) for eq in two.equations]) is not None
         assert not concat_tree_of(two, UNIVERSE).is_localized()
+        assert bracketing_is_acyclic(b)
+        triangle = N(N(L("x1"), L("x2")), N(L("x2"), L("x3")), N(L("x3"), L("x1")))
+        assert not bracketing_is_acyclic(triangle)
 
     def test_backtracking_regression(self):
         # The greedy, commit-first derivation dead-ends on this pattern at

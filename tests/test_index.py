@@ -9,9 +9,9 @@ from conftest import AB, all_words, random_regex
 from wordeq.index import (
     EPSILON_ID,
     Span,
+    WordIndex,
     _z_suffix_starts,
     build_index,
-    leftmost_suffix_starts,
     longest_previous_factors,
     z_function,
 )
@@ -300,6 +300,10 @@ def fibonacci_word(n: int) -> str:
     while len(b) < n:
         a, b = b, b + a
     return b[:n]
+
+
+def leftmost_suffix_starts(w: str) -> list[int]:
+    return [f // (len(w) + 1) for f in WordIndex(w).suffix_ids()]
 
 
 class TestSuffixStarts:

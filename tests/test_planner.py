@@ -9,7 +9,6 @@ import pytest
 
 from conftest import AB, all_words, random_fccq, random_fccq_wide, v
 from wordeq.bridge import pseudo_acyclic_to_acyclic_fccq, sercq_to_fccq
-from wordeq.decompose import decompose_bracketing
 from wordeq.evaluator import enumerate_results, model_check
 from wordeq.frontend import parse_query
 from wordeq.index import build_index
@@ -26,7 +25,7 @@ from wordeq.model import (
     gyo,
     verify_join_tree,
 )
-from wordeq.oracle import all_bracketings, brute_evaluate
+from wordeq.oracle import all_bracketings, brute_evaluate, decompose_bracketing
 from wordeq.planner import (
     NormalizedQuery,
     cyclicity_prechecks,
