@@ -37,12 +37,19 @@ list reads is then faster.
 An inner node not generated from its parent's rows is semi-joined with them
 before its children are generated; a leaf is not.  Then the semi-join
 passes reduce them: `model_check` runs the bottom-up pass, `full_reduction`
-both."""
+both.  A semi-join first checks in one pass, which stops at the first row
+to go, whether any row goes; one that removes none returns its input.
+
+Enumeration walks the reduced relations with `map` and `chain`, so no
+Python frame runs per binding.  A head that fixes every variable the walk
+binds, through the equations' functional dependencies, streams its answers
+with no dedupe set; any other head keeps one (`enumerate_results`)."""
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat, tee
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional
 
 from .index import WordIndex
@@ -72,20 +79,26 @@ class Relation:
             raise ValueError("row arity does not match the schema")
 
 
-@dataclass(frozen=True)
-class ResultTuple:
-    """One answer: head variables mapped to factor ids (canonical spans)."""
+class ResultTuple(tuple):
+    """One answer: (head variable, factor id) pairs, the ids canonical spans.
+    A tuple, so the walk builds answers with no Python-level constructor."""
 
-    assignment: tuple[tuple[Variable, int], ...]
+    __slots__ = ()
+
+    @property
+    def assignment(self) -> tuple[tuple[Variable, int], ...]:
+        return tuple(self)
 
     def words(self, ix: WordIndex) -> dict[str, str]:
-        return {v.name: ix.word_of(f) for v, f in self.assignment}
+        return {v.name: ix.word_of(f) for v, f in self}
 
     def to_json_obj(self, ix: WordIndex) -> dict:
+        word, stride = ix.word, ix.n + 1
         out = {}
-        for v, f in self.assignment:
-            start, end = ix.occurrence(f)
-            out[v.name] = {"word": ix.word[start:end], "span": [start + 1, end + 1]}
+        for v, f in self:
+            start, length = divmod(f, stride)
+            end = start + length
+            out[v.name] = {"word": word[start:end], "span": [start + 1, end + 1]}
         return out
 
 
@@ -194,7 +207,7 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
         ids = {wid} if var.is_universe else allowed.get(var)
         if var.is_universe or var not in keep:
             # No column is kept: the first member found decides the node.
-            return (), [()] if next(ix._accepted(atom.regex, ids), None) is not None else []
+            return (), [()] if ix.has_member(atom.regex, ids) else []
         return (var,), zip(ix.regex_members(atom.regex, ids))
     z, x, y = atom.lhs, atom.rhs[0], atom.rhs[-1]
     if len(atom.rhs) == 1:
@@ -287,7 +300,8 @@ def materialize_atom(ix: WordIndex, atom,
 
 
 def semijoin(r: Relation, s: Relation) -> Relation:
-    """Rows of r whose shared-variable projection appears in s."""
+    """Rows of r whose shared-variable projection appears in s; r itself
+    when no row goes."""
     shared = [v for v in s.schema if v in r.schema]
     if not shared:
         return r if s.rows else Relation(r.schema, frozenset())
@@ -300,6 +314,10 @@ def semijoin(r: Relation, s: Relation) -> Relation:
     # With two or more columns, all shared, the rows of s are the keys.
     keys = s.rows if len(shared) == len(s.schema) > 1 else set(
         map(itemgetter(*(s.schema.index(v) for v in shared)), s.rows))
+    # One pass that stops at the first row to go; a semi-join that removes
+    # nothing builds no relation.
+    if keys.issuperset(map(r_key, r.rows)):
+        return r
     hits = map(keys.__contains__, map(r_key, r.rows))
     return Relation(r.schema, frozenset(compress(r.rows, hits)))
 
@@ -349,8 +367,7 @@ def _materialize_tree(tree: JoinTree, ix: WordIndex, head: tuple[Variable, ...]
     grounded or pre-sized node, or one whose parent allows each shared
     variable's ids but not their combination) never widen theirs; a leaf is
     left to the semi-join passes."""
-    adj = tree.adjacency()
-    keeps = [set(head).union(*(tree.var_sets[w] for w in adj[v])) for v in range(len(tree.nodes))]
+    keeps = _keeps(tree, head)
     sized: dict[int, Relation] = {}
     order, children, parent = _orientation(tree, _root(tree, ix, sized, keeps))
     rels: list[Relation] = [None] * len(tree.nodes)  # type: ignore[list-item]
@@ -397,52 +414,106 @@ def full_reduction(plan: Plan, ix: WordIndex) -> list[Relation]:
     return rels
 
 
-# Module-level, not a closure: a closure that calls itself is a reference cycle.
-def _walk(steps: list, at: int, binding: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if at == len(steps):
-        yield binding
-        return
-    key, index = steps[at]
-    for new in index[key(binding)]:
-        yield from _walk(steps, at + 1, binding + new)
+def _keeps(tree: JoinTree, head: tuple[Variable, ...]) -> list[set[Variable]]:
+    """Per node, the variables its relation keeps, besides those outside its
+    atom: the head and every variable of a join-tree neighbour."""
+    adj = tree.adjacency()
+    return [set(head).union(*(tree.var_sets[w] for w in adj[v])) for v in range(len(tree.nodes))]
+
+
+def head_fixes_binding(p: Plan) -> bool:
+    """Whether the head fixes every variable the walk binds, so that two
+    distinct bindings cannot give one answer.  The head is closed under each
+    equation's functional dependencies (Carmeli & Kroell 2018, "Enumeration
+    complexity of conjunctive queries with functional dependencies"): all but
+    one variable of `z = x.y`, `z = x.x` or `z = x` fix the last, and `u` is
+    the word.  The walk binds the head and the variables join-tree neighbours
+    share."""
+    tree, head = p.tree, p.query.head
+    equations = [frozenset(x for x in atom.variables() if not x.is_universe)
+                 for atom in tree.nodes if isinstance(atom, SmallEquation)]
+    fixed = set(head)
+    grew = True
+    while grew:
+        grew = False
+        for names in equations:
+            free = names - fixed
+            if len(free) == 1:
+                fixed |= free
+                grew = True
+    bound = set().union(*map(set.intersection, _keeps(tree, head), tree.var_sets))
+    return bound <= fixed
+
+
+def _extend(bindings: Iterator[tuple[int, ...]], key: Optional[Callable], index
+            ) -> Iterator[tuple[int, ...]]:
+    """Each binding followed by every value `index` holds under its `key`
+    (all of `index` with no key), built by `map` and `chain` in C: no Python
+    frame per binding."""
+    if key is None:
+        return chain.from_iterable(map(map, map(attrgetter("__add__"), bindings), repeat(index)))
+    bindings, keyed = tee(bindings)
+    return chain.from_iterable(map(map, map(attrgetter("__add__"), bindings),
+                                   map(index.__getitem__, map(key, keyed))))
+
+
+def _unseen(answers: Iterable) -> Iterator:
+    """`answers` with repeats dropped."""
+    seen = set()
+    for answer in answers:
+        if answer not in seen:
+            seen.add(answer)
+            yield answer
 
 
 def enumerate_results(plan: Plan, ix: WordIndex) -> Iterator[ResultTuple]:
     """Yannakakis' enumeration phase.  Each fully reduced relation, already
     projected onto the head and the variables it shares with a join-tree
     neighbour, is indexed, in BFS order from node 0, on those it shares with
-    its parent (a relation with none bound is stored as it is), and freed.
-    The walk extends a flat binding by the rows it looks up: every lookup
-    finds some; a node with no new variable is skipped.  `seen` drops repeated answers (ids are canonical per word), the
-    one part of the delay that is not constant: a head that is not
-    free-connex, like `(x, y)` of `x = z1.z2, y = z1.z3`, repeats answers."""
+    its parent (a relation with none bound is taken as it is), and freed.
+    Rows are distinct, so the values under one key are too, and each is a
+    list.  The walk, built once, extends a flat binding by the values it
+    looks up, with `map` and `chain` in C: every lookup finds some; a node
+    with no new variable is skipped.
+
+    A Boolean query has one answer once every relation keeps a row.  When
+    the head fixes every variable the walk binds (`head_fixes_binding`), the
+    answers are distinct and stream out with no state.  Otherwise a `seen`
+    set drops repeated answers (ids are canonical per word): a head that is
+    not free-connex, like `(x, y)` of `x = z1.z2, y = z1.z3`, repeats
+    answers, and `seen` grows with them."""
     rels = full_reduction(plan, ix)
     if not all(rel.rows for rel in rels):
         return
     head = plan.query.head
+    if not head:
+        yield ResultTuple(())
+        return
     slot: dict[Variable, int] = {}
-    steps: list[tuple[Callable, dict]] = []
+    walk: Optional[Iterator[tuple[int, ...]]] = None
     for v in _orientation(plan.tree)[0]:
-        schema = rels[v].schema
+        schema, rows = rels[v].schema, rels[v].rows
+        rels[v] = None  # type: ignore[call-overload]
         bound = [i for i, x in enumerate(schema) if x in slot]
         new = [i for i, x in enumerate(schema) if x not in slot]
-        if new:
-            if not bound:  # the rows are the values
-                index: dict = {(): rels[v].rows}
-            else:
-                key, value, index = _values(bound), _values(new), {}
-                for row in rels[v].rows:
-                    index.setdefault(key(row), set()).add(value(row))
-            steps.append((_values([slot[schema[i]] for i in bound]), index))
-            slot.update({schema[i]: len(slot) + k for k, i in enumerate(new)})
-        rels[v] = None  # type: ignore[call-overload]
-    read_head = _values([slot[x] for x in head])
-    seen: set[tuple[int, ...]] = set()
-    for binding in _walk(steps, 0, ()):
-        answer = read_head(binding)
-        if answer not in seen:
-            seen.add(answer)
-            yield ResultTuple(tuple(zip(head, answer)))
+        if not new:
+            continue
+        if walk is None:            # nothing bound yet: the rows are the bindings
+            walk = iter(rows)
+        elif not bound:
+            walk = _extend(walk, None, rows)
+        else:
+            index = defaultdict(list)
+            for key, value in zip(map(itemgetter(*bound), rows), map(_values(new), rows)):
+                index[key].append(value)
+            walk = _extend(walk, itemgetter(*(slot[schema[i]] for i in bound)), index)
+        slot.update({schema[i]: len(slot) + k for k, i in enumerate(new)})
+    answers = map(itemgetter(*(slot[x] for x in head)), walk)
+    if not head_fixes_binding(plan):
+        answers = _unseen(answers)
+    # One head variable: itemgetter reads a bare id, so pair it and wrap it.
+    pairs = zip(zip(repeat(head[0]), answers)) if len(head) == 1 else map(zip, repeat(head), answers)
+    yield from map(ResultTuple, pairs)
 
 
 def brute_results(q: FcCq, ix: WordIndex) -> Iterator[ResultTuple]:

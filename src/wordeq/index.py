@@ -42,7 +42,9 @@ sized for the root choice) the DFA runs from every start, at most O(n^2)
 steps, and keeps the accepted spans longer than LPF at their start, keys
 computed with no table; a start stops early where the DFA dies, or where it
 reaches a state set from which every reachable one accepts.  A constraint
-whose node keeps no variable stops at the first member its scan yields.
+whose node keeps no variable asks only whether some factor is accepted
+(`has_member`), and any accepted span answers that: its scan builds no LPF
+and stops at the first member, so it reads only the letters up to it.
 
 `factor_table()` builds the table of every span: `table[i][k]` is the id of
 `w[i:i+k]` (0-based).  Up to LPF[i], row i is a prefix of row prev[i], an
@@ -373,9 +375,18 @@ class WordIndex:
             out.update(run)
         return out
 
-    def _accepted(self, regex: RegexAst, among: Optional[AbstractSet[int]]) -> Iterator[Iterable[int]]:
+    def has_member(self, regex: RegexAst, among: Optional[AbstractSet[int]] = None) -> bool:
+        """Whether `regex_members(regex, among)` is not empty: the first
+        accepted span of the scan decides it.  Any accepted span answers, so
+        with no `among` the scan keeps every one, leftmost or not, and builds
+        no LPF: it reads only up to the first member."""
+        return next(self._accepted(regex, among, leftmost=False), None) is not None
+
+    def _accepted(self, regex: RegexAst, among: Optional[AbstractSet[int]],
+                  leftmost: bool = True) -> Iterator[Iterable[int]]:
         """Runs of the ids `regex_members` returns, in scan order: epsilon,
-        then by start; a caller that needs one member stops at the first."""
+        then by start.  With `leftmost` false and no `among`, every accepted
+        span is yielded under its key, which is then not always an id."""
         moves = _Moves(thompson(regex))
         initial = moves.nfa.initial()
         word, n, stride, accept = self.word, self.n, self._stride, moves.nfa.accept
@@ -397,7 +408,7 @@ class WordIndex:
             return
         letters = tuple(dict.fromkeys(word))
         universal: dict[frozenset[int], bool] = {}
-        for i, longest in enumerate(self._previous_factors()[0]):
+        for i, longest in enumerate(self._previous_factors()[0] if leftmost else repeat(0, n)):
             key = i * n                         # + j + 1: the key of w[i:j+1]
             first = i + longest                 # w[i:j+1] is leftmost iff j >= first
             states = initial

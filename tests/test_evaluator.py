@@ -15,6 +15,7 @@ from wordeq.evaluator import (
     check_universality,
     enumerate_results,
     full_reduction,
+    head_fixes_binding,
     materialize_atom,
     model_check,
     semijoin,
@@ -564,6 +565,22 @@ class TestSemijoin:
         assert semijoin(r, s).rows == r.rows
         assert semijoin(r, Relation((v("y"),), frozenset())).rows == frozenset()
 
+    def test_no_row_goes_returns_the_input(self):
+        """A semi-join that removes nothing returns r itself, whether the
+        keys are read off s or, with every column of r shared, r's rows are
+        their own keys; the intersect branch, taken when s has fewer rows
+        than r, always removes some."""
+        x, y, z = v("x"), v("y"), v("z")
+        r = Relation((x, y), frozenset({(1, 2), (3, 4)}))
+        assert semijoin(r, Relation((y, z), frozenset({(2, 5), (4, 6), (7, 7)}))) is r
+        assert semijoin(r, Relation((y, x), frozenset({(2, 1), (4, 3), (9, 9)}))) is r
+        assert semijoin(r, Relation((y, x), frozenset({(2, 1), (4, 3)}))) is r
+        assert semijoin(r, Relation((z, y, x), frozenset({(0, 2, 1), (5, 4, 3)}))) is r
+        kept = semijoin(r, Relation((y, x), frozenset({(2, 1)})))
+        assert kept.rows == frozenset({(1, 2)})
+        removed = semijoin(r, Relation((y, z), frozenset({(2, 5)})))
+        assert removed is not r and removed.rows == frozenset({(1, 2)})
+
     @given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12),
            st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
     @settings(max_examples=120)
@@ -681,10 +698,12 @@ class TestEnumerate:
         answers = [r.assignment for r in enumerate_results(p, build_index(w))]
         assert len(answers) == len(set(answers)) == 61 * 62 // 2
 
-    @pytest.mark.parametrize("text", ["ans(x) :- x = y.z", JOIN])
+    @pytest.mark.parametrize("text", ["ans(x) :- x = y.z", JOIN, "ans(x,y) :- x = z.z, y = w.w"])
     def test_projection_drops_local_variables(self, text):
-        """y and z in `x = y.z`, z2 and z3 in the join, are neither in the
-        head nor shared with a neighbour: projection drops them."""
+        """y and z in `x = y.z`, z2 and z3 in the join, z and w in the two
+        squares, are neither in the head nor shared with a neighbour:
+        projection drops them.  The squares share no variable, so the walk
+        extends each binding by every row of the second."""
         q = parse_query(text, AB)
         p = plan(q)
         for w in all_words("ab", 4):
@@ -766,6 +785,53 @@ class TestEnumerate:
                     used[node].add(row)
             for i, rel in enumerate(rels):
                 assert rel.rows == frozenset(used[i]), f"dangling tuples at node {i}"
+
+
+class TestHeadFixesBinding:
+    @pytest.mark.parametrize("text, fixes", [
+        ("ans(x,y,z) :- u = x.y.z", True),
+        ("ans(x,y) :- x = y.z", True),
+        (JOIN, False),
+        ("ans() :- u = x.y, u = y.x", False),
+    ])
+    def test_decision(self, text, fixes):
+        """The head, closed under the equations' functional dependencies,
+        covers every variable the walk binds: z1 of `u = x.z1` is fixed by
+        u and x, z of `x = y.z` by x and y; z1 of the join and x, y of the
+        conjugate query are fixed by nothing."""
+        assert head_fixes_binding(plan(parse_query(text, AB))) is fixes
+
+    def test_answers_without_a_dedupe_set(self, monkeypatch):
+        """Seeded `random_fccq` queries whose head fixes the binding give
+        their answers with no dedupe set, each once, and they are the
+        oracle's; the other queries keep the set."""
+        from wordeq import evaluator
+
+        def no_dedupe(answers):
+            raise AssertionError("a dedupe set on a head that fixes the binding")
+
+        rng = random.Random(23)
+        paths = {True: 0, False: 0}
+        for _ in range(80):
+            q = random_fccq(rng, max_atoms=2, max_rhs=4, max_constraints=1)
+            try:
+                p = plan(q)
+            except CyclicQueryError:
+                continue
+            if not q.head:
+                continue
+            fixes = head_fixes_binding(p)
+            paths[fixes] += 1
+            with monkeypatch.context() as patch:
+                if fixes:
+                    patch.setattr(evaluator, "_unseen", no_dedupe)
+                for w in all_words("ab", 4):
+                    ix = build_index(w)
+                    answers = [tuple(r.words(ix)[h.name] for h in q.head)
+                               for r in enumerate_results(p, ix)]
+                    assert len(answers) == len(set(answers)), (q, w)
+                    assert set(answers) == brute_evaluate(q, w), (q, w)
+        assert min(paths.values()) >= 10, paths
 
 
 class TestUniversality:

@@ -579,6 +579,30 @@ class TestRegexMembers:
                         for f in brute_distinct_factors(w) if nfa.accepts(f)}
             assert build_index(w).regex_members(regex) == expected, (w, text)
 
+    @pytest.mark.parametrize("text", ["ab*a", "a(a|b)*", "(a|b)*a", "a+", "bb", "b*", "''",
+                                      "(a|b)*", None])
+    def test_first_member_scan(self, ab, monkeypatch, text):
+        """`has_member` agrees with `bool(regex_members(...))` on every word
+        up to 10 letters, for regexes that accept epsilon and that do not,
+        and builds no longest previous factor array."""
+        from wordeq import index
+        from wordeq.frontend import parse_regex
+        from wordeq.model import REmpty
+
+        built = []
+        lpf = index.longest_previous_factors
+        monkeypatch.setattr(index, "longest_previous_factors",
+                            lambda word: built.append(word) or lpf(word))
+        regex = REmpty() if text is None else parse_regex(text, ab)
+        for w in all_words("ab", 10):
+            ix = build_index(w)
+            got = ix.has_member(regex)
+            assert not built, (w, text)
+            assert got == bool(ix.regex_members(regex)), (w, text)
+            among = set(ix.all_factor_ids()[::3])
+            assert ix.has_member(regex, among) == bool(ix.regex_members(regex, among)), (w, text)
+            built.clear()
+
     @pytest.mark.parametrize("k, head_steps", [(6, 97), (10, 215), (14, 338)])
     def test_universality_search_stays_bounded(self, ab, monkeypatch, k, head_steps):
         """`(a|b)*a(a|b)^k` has a DFA of 2^k states and no state set from
