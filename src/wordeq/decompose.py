@@ -465,17 +465,11 @@ def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars, ivs: _Int
 
 def find_acyclic_decomposition(p: Pattern, root: Variable = UNIVERSE,
                                fresh: Optional[FreshVars] = None) -> Optional[TwoFcCq]:
-    """Acyclic decomposition of a terminal-free pattern, or None if cyclic."""
-    pat = _require_terminal_free(p)
-    if not pat:
+    """Acyclic decomposition of a terminal-free pattern, or None if cyclic:
+    `decompose_atom_with_constraints` of ``root = p`` with no pair."""
+    if not p:
         raise ValueError("the empty pattern has no bracketing")
-    found = _constrained_search(pat, ())
-    if found is None:
-        return None
-    if fresh is None:
-        fresh = FreshVars(v.name for v in vars_of(p) | {root})
-    b, ivs = found
-    return _decomposition_of(b, root, fresh, ivs)
+    return decompose_atom_with_constraints(WordEquation(root, p), (), fresh)
 
 
 # --- constrained decomposition (pairs that must share an atom) ------------------

@@ -80,14 +80,11 @@ class Relation:
 
 
 class ResultTuple(tuple):
-    """One answer: (head variable, factor id) pairs, the ids canonical spans.
-    A tuple, so the walk builds answers with no Python-level constructor."""
+    """One answer: the (head variable, factor id) pairs themselves, each id
+    naming its factor's leftmost occurrence (`WordIndex.occurrence`).  A
+    tuple, so the walk builds answers with no Python-level constructor."""
 
     __slots__ = ()
-
-    @property
-    def assignment(self) -> tuple[tuple[Variable, int], ...]:
-        return tuple(self)
 
     def words(self, ix: WordIndex) -> dict[str, str]:
         return {v.name: ix.word_of(f) for v, f in self}

@@ -20,10 +20,10 @@ where formulas extend regexes with bindings ``x{ regex }``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 from .bridge import SercqAst, svars
-from .decompose import terminal_free_core
 from .model import (
     Alphabet,
     FcCq,
@@ -513,8 +513,13 @@ def _printed(node: RegexAst, sigma: Optional[RegexAst], quote_literals: bool) ->
 
 
 def print_pattern(p: Pattern) -> str:
-    core, blocks = terminal_free_core(p)
-    return ".".join(f"'{blocks[x]}'" if x in blocks else x.name for x in core) or "''"
+    parts: list[str] = []
+    for is_var, run in groupby(p, lambda item: isinstance(item, Variable)):
+        if is_var:
+            parts.extend(x.name for x in run)
+        else:
+            parts.append("'" + "".join(run) + "'")
+    return ".".join(parts) or "''"
 
 
 def print_query(q: FcCq, alphabet: Optional[Alphabet] = None) -> str:

@@ -17,9 +17,10 @@ Python.  So the cuts of the whole word (`splits(whole_word_id())`), all a
 grounded binary atom needs, are integer arithmetic on those starts with no
 factor table: O(n) memory.
 `splits` is binary only: the planner's normal form has no longer atom.
-Other single lookups (`id_of_word`, `factor_id` before the table, and the
+Other single lookups (`id_of_word`, `factor_at` before the table, and the
 root of `square_root` once one `startswith` has found equal halves) find the
-leftmost start with one `str.find`.
+leftmost start with one `str.find`.  `factor_id(start, end)`, 1-based like
+the paper's `w[u1,u2]`, is `factor_at(start - 1, end - 1)` after a bounds check.
 
 The longest previous factor array (Crochemore & Ilie 2008), built on first
 use, is the source of factor identity for everything that lists factors:
@@ -67,7 +68,6 @@ most one `factor_at` or `id_of_word`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, floordiv, mul
 from typing import AbstractSet, Iterable, Iterator, Optional
@@ -76,18 +76,6 @@ from .model import Alphabet, InvalidSpanError, RegexAst
 from .nfa import Nfa, thompson
 
 EPSILON_ID = 0
-
-
-@dataclass(frozen=True)
-class Span:
-    """1-based, half-open interval of the input word; (i, i) denotes epsilon."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (1 <= self.start <= self.end):
-            raise InvalidSpanError(f"bad span [{self.start},{self.end})")
 
 
 def z_function(s: str) -> list[int]:
@@ -251,18 +239,17 @@ class WordIndex:
             self._word_cuts = list(zip(range(self.n + 1), reversed(self.suffix_ids())))
         return self._word_cuts
 
-    def check_span(self, s: Span) -> None:
-        if s.end > self.n + 1:
-            raise InvalidSpanError(f"span [{s.start},{s.end}) exceeds the word (n={self.n})")
-
-    def factor_id(self, s: Span) -> int:
-        """Equal factors yield equal ids; the id of epsilon is 0."""
-        self.check_span(s)
-        return self.factor_at(s.start - 1, s.end - 1)
+    def factor_id(self, start: int, end: int) -> int:
+        """Id of the 1-based, half-open span [start, end); (i, i) is epsilon,
+        id 0.  Raises `InvalidSpanError` unless 1 <= start <= end <= n + 1."""
+        if not 1 <= start <= end <= self.n + 1:
+            raise InvalidSpanError(f"bad span [{start},{end}) of a word of length {self.n}")
+        return self.factor_at(start - 1, end - 1)
 
     def factor_at(self, i: int, j: int) -> int:
         """Id of w[i:j], 0-based and half-open; the caller keeps
-        0 <= i <= j <= n (`factor_id` is the validating form)."""
+        0 <= i <= j <= n (`factor_id(i + 1, j + 1)` is the validating,
+        1-based form)."""
         if self._table is not None:
             return self._table[i][j - i]
         return self.word.find(self.word[i:j], 0, j) * self._stride + j - i
@@ -282,11 +269,6 @@ class WordIndex:
     def word_of(self, fid: int) -> str:
         start, end = self.occurrence(fid)
         return self.word[start:end]
-
-    def canonical_span(self, fid: int) -> Span:
-        """Leftmost occurrence (smallest start, then smallest end)."""
-        start, end = self.occurrence(fid)
-        return Span(start + 1, end + 1)
 
     def whole_word_id(self) -> int:
         return self.n

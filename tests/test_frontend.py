@@ -13,6 +13,7 @@ from wordeq.frontend import (
     parse_query,
     parse_regex,
     parse_sercq,
+    print_pattern,
     print_query,
     print_regex,
     print_sercq,
@@ -125,6 +126,17 @@ class TestRoundTrips:
         ]:
             q = parse_query(text, ALPHA)
             assert parse_query(print_query(q, ALPHA), ALPHA) == q
+        # Terminal runs print as one literal each, also next to variables
+        # named like the fresh block variables t1, t2.
+        t1, t2 = v("t1"), v("t2")
+        for p, text in [
+            (("a", "b", t1, "a", t2, "b"), "'ab'.t1.'a'.t2.'b'"),
+            ((t1, "b", "a", t2, t1), "t1.'ba'.t2.t1"),
+            ((t2, t1), "t2.t1"),
+            (("a", "b", "b"), "'abb'"),
+            ((), "''"),
+        ]:
+            assert print_pattern(p) == text, p
 
     @given(st.lists(st.sampled_from(["x", "y", "z", "a", "b"]), min_size=0, max_size=6),
            st.booleans())

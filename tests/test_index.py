@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import AB, all_words, random_regex
 from wordeq.index import (
     EPSILON_ID,
-    Span,
     WordIndex,
     _z_suffix_starts,
     build_index,
@@ -67,24 +66,29 @@ class TestFactorIdentity:
 
     def test_banana_equal_spans(self):
         ix = build_index("banana")
-        assert ix.factor_id(Span(2, 4)) == ix.factor_id(Span(4, 6))
-        assert ix.word_of(ix.factor_id(Span(2, 4))) == "an"
+        assert ix.factor_id(2, 4) == ix.factor_id(4, 6)
+        assert ix.word_of(ix.factor_id(2, 4)) == "an"
 
     def test_epsilon_is_zero(self):
         ix = build_index("banana")
         for i in range(1, 8):
-            assert ix.factor_id(Span(i, i)) == EPSILON_ID
+            assert ix.factor_id(i, i) == EPSILON_ID
 
     def test_distinct_letters(self):
         ix = build_index("ab")
-        assert ix.factor_id(Span(1, 2)) != ix.factor_id(Span(2, 3))
+        assert ix.factor_id(1, 2) != ix.factor_id(2, 3)
 
     def test_invalid_span(self):
-        ix = build_index("ab")
-        with pytest.raises(InvalidSpanError):
-            ix.factor_id(Span(1, 9))
-        with pytest.raises(InvalidSpanError):
-            Span(3, 2)
+        # Start 0, start past end, end past n + 1.
+        bad = {"": [(0, 0), (0, 1), (2, 1), (1, 2), (2, 2)],
+               "ab": [(0, 1), (0, 3), (3, 2), (2, 1), (1, 4), (1, 9), (4, 4)]}
+        for w, bounds in bad.items():
+            ix = build_index(w)
+            for start, end in bounds:
+                with pytest.raises(InvalidSpanError):
+                    ix.factor_id(start, end)
+            n = len(w)
+            assert ix.factor_id(n + 1, n + 1) == EPSILON_ID
 
     @given(st.text(alphabet="ab", max_size=32))
     @settings(max_examples=120)
@@ -93,7 +97,7 @@ class TestFactorIdentity:
         spans = [(i, j) for i in range(1, len(w) + 2) for j in range(i, len(w) + 2)]
         ids = {}
         for i, j in spans:
-            fid = ix.factor_id(Span(i, j))
+            fid = ix.factor_id(i, j)
             ids.setdefault(w[i - 1:j - 1], set()).add(fid)
         for factor, fids in ids.items():
             assert len(fids) == 1
@@ -105,10 +109,10 @@ class TestFactorIdentity:
         for w, expect in [("aa", 3), ("", 1), ("ab", 4)]:
             assert len(build_index(w).all_factor_ids()) == expect
 
-    def test_canonical_span_is_leftmost(self):
+    def test_occurrence_is_leftmost(self):
         ix = build_index("banana")
         fid = ix.id_of_word("an")
-        assert ix.canonical_span(fid) == Span(2, 4)
+        assert ix.occurrence(fid) == (1, 3)
 
 
 class TestFactorTable:
@@ -125,11 +129,11 @@ class TestFactorTable:
             ref = build_index(w)
             for i in range(n + 1):
                 for j in range(i, n + 1):
-                    assert ix.factor_at(i, j) == ref.factor_id(Span(i + 1, j + 1)), (w, i, j)
+                    assert ix.factor_at(i, j) == ref.factor_id(i + 1, j + 1), (w, i, j)
             for fid in ix.all_factor_ids():
-                s = ix.canonical_span(fid)
-                assert s.start - 1 == w.find(ix.word_of(fid)), (w, fid)
-                assert ix.factor_at(s.start - 1, s.end - 1) == fid
+                start, end = ix.occurrence(fid)
+                assert start == w.find(ix.word_of(fid)), (w, fid)
+                assert ix.factor_at(start, end) == fid
 
     def test_ids_before_the_table_keep_their_numbers(self, ab):
         from wordeq.frontend import parse_regex
@@ -395,15 +399,15 @@ class TestWholeWordSplits:
             cuts = list(ix.splits(wid))
             # A second index numbered through factor_id alone, cut by cut.
             ref = build_index(w)
-            assert ref.factor_id(Span(1, n + 1)) == wid
-            expected = [(ref.factor_id(Span(1, k + 1)), ref.factor_id(Span(k + 1, n + 1)))
+            assert ref.factor_id(1, n + 1) == wid
+            expected = [(ref.factor_id(1, k + 1), ref.factor_id(k + 1, n + 1))
                         for k in range(n + 1)]
             assert cuts == expected, w
             assert cuts == [(ix.factor_at(0, k), ix.factor_at(k, n)) for k in range(n + 1)], w
             for x, y in cuts:
                 assert ix.word_of(x) + ix.word_of(y) == w
                 for fid in (x, y):
-                    assert ix.canonical_span(fid).start - 1 == w.find(ix.word_of(fid)), (w, fid)
+                    assert ix.occurrence(fid)[0] == w.find(ix.word_of(fid)), (w, fid)
 
     def test_square_root(self):
         for w in all_words("ab", 8):
