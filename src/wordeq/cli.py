@@ -1,8 +1,9 @@
 """Command-line surface: check, enum, plan, pattern, convert.
 
 Exit codes: 0 success/true/results, 1 false/empty/cyclic (expected negative),
-2 usage or parse error, 3 internal invariant violation.  Diagnostics go to
-stderr, data to stdout.
+2 usage or parse error, or input that nests too deeply for Python's recursion
+limit, 3 internal invariant violation.  Diagnostics go to stderr, data to
+stdout.
 """
 from __future__ import annotations
 
@@ -282,6 +283,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (OSError, ValueError, WordeqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: the input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

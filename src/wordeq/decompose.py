@@ -545,9 +545,11 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
 
     if len(partners) >= 2:
         # The root atom is the only one containing the left side, and it has
-        # two right slots: both partners must be exactly the right side.
+        # two right slots: both partners must be exactly the right side,
+        # which stays verbatim.
         if len(pat) == 2 and set(pat) == set(partners):
-            return _decomposition_of(BNode((BLeaf(pat[0]), BLeaf(pat[1]))), eq.lhs, fresh, _Intervals(pat))
+            return TwoFcCq(head=(), equations=(SmallEquation(eq.lhs, tuple(pat)),),
+                           introduced=frozenset())
         return None
 
     if not partners:

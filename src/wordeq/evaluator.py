@@ -27,13 +27,12 @@ tuples are mostly never built.  A binary child `z = x.y` that shares z and
 one or both of x and y with its parent is generated from the parent's rows
 instead (Yannakakis: generate only what the semi-join keeps): two of its
 variables fix the third, so each distinct parent value yields at most one
-row, found with one `startswith` (or a list read once the factor table
-exists).  So `u = x.y.x`, planned as the grounded root `u = x.z1` and the
-child `z1 = y.x`, builds O(n) rows and no factor table.  A child sharing x
-and y alone finds z with one `str.find` over the word per parent value, so
-it is generated that way only under a parent of at most n + 1 rows; a larger
-parent was cut from the factor table, and cutting the child's allowed z with
-list reads is then faster.
+row, found with one `startswith`.  So `u = x.y.x`, planned as the grounded
+root `u = x.z1` and the child `z1 = y.x`, builds O(n) rows and no factor
+table.  A child sharing x and y alone finds z with one `str.find` over the
+word per parent value, so it is generated that way only under a parent of at
+most n + 1 rows; a larger parent was cut from the factor table, and cutting
+the child's allowed z with list reads is then faster.
 An inner node not generated from its parent's rows is semi-joined with them
 before its children are generated; a leaf is not.  Then the semi-join
 passes reduce them: `model_check` runs the bottom-up pass, `full_reduction`

@@ -14,13 +14,14 @@ Most words need only a handful of finds; a periodic word like a^n needs one
 per letter, so after 2 * n.bit_length() + 8 finds the index falls back to one
 Z-function pass over the reversed word (Gusfield 1997, ch. 1), O(n) in
 Python.  So the cuts of the whole word (`splits(whole_word_id())`), all a
-grounded binary atom needs, are integer arithmetic on those starts with no
-factor table: O(n) memory.
+grounded binary atom needs, are integer arithmetic on those starts, with or
+without the factor table: O(n) memory.
 `splits` is binary only: the planner's normal form has no longer atom.
-Other single lookups (`id_of_word`, `factor_at` before the table, and the
-root of `square_root` once one `startswith` has found equal halves) find the
-leftmost start with one `str.find`.  `factor_id(start, end)`, 1-based like
-the paper's `w[u1,u2]`, is `factor_at(start - 1, end - 1)` after a bounds check.
+Single lookups answer one way, whatever was built before them: `id_of_word`,
+`factor_at` and the root of `square_root` (once one `startswith` has found
+equal halves) find the leftmost start with one `str.find`, and `occurs_at` is
+one `startswith`.  `factor_id(start, end)`, 1-based like the paper's
+`w[u1,u2]`, is `factor_at(start - 1, end - 1)` after a bounds check.
 
 The longest previous factor array (Crochemore & Ilie 2008), built on first
 use, is the source of factor identity for everything that lists factors:
@@ -54,7 +55,8 @@ one `range`, with no Python step per span: O(n^2) work in C.  The table
 holds about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is built
 only to cut factors: by `splits` of any factor but the whole word, after
 which a cut is two list reads, and by the evaluator's walks of a free left
-side.  `all_factor_ids()` is the LPF ranges, with no table.
+side.  No other lookup reads it.  `all_factor_ids()` is the LPF ranges, with
+no table.
 Relations of non-grounded equations read the table: a left side restricted
 to m factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side
 with one right side restricted to ids of k distinct lengths walks the table
@@ -63,8 +65,7 @@ atom that keeps two or more of its variables; one that keeps at most one
 lists factors, O(n^2), and so does not call `splits` at all, and neither does
 a square, whose one middle cut `square_root` finds.  An atom whose parent
 fixes two of its variables needs no cut and no table: per parent row one
-`occurs_at` (a `startswith`, or one list read once the table exists) and at
-most one `factor_at` or `id_of_word`.
+`occurs_at` (a `startswith`) and at most one `factor_at` or `id_of_word`.
 """
 from __future__ import annotations
 
@@ -189,9 +190,9 @@ def longest_previous_factors(word: str) -> tuple[list[int], list[int]]:
 
 
 class WordIndex:
-    """The suffix ids, the whole word's cuts, the previous factors, the list
-    of factor ids and the factor table are filled in on first use, so an
-    index is not safe to share between threads."""
+    """The suffix ids, the whole word's cuts, the previous factors and the
+    factor table are filled in on first use, so an index is not safe to
+    share between threads."""
 
     def __init__(self, word: str, alphabet: Optional[Alphabet] = None):
         if alphabet is not None and not set(word) <= set(alphabet):
@@ -204,7 +205,6 @@ class WordIndex:
         self._word_cuts: Optional[list[tuple[int, int]]] = None
         self._lpf: Optional[tuple[list[int], list[int]]] = None
         self._table: Optional[list[list[int]]] = None
-        self._factors: Optional[list[int]] = None
 
     # -- identity -------------------------------------------------------------
 
@@ -247,19 +247,14 @@ class WordIndex:
         return self.factor_at(start - 1, end - 1)
 
     def factor_at(self, i: int, j: int) -> int:
-        """Id of w[i:j], 0-based and half-open; the caller keeps
-        0 <= i <= j <= n (`factor_id(i + 1, j + 1)` is the validating,
-        1-based form)."""
-        if self._table is not None:
-            return self._table[i][j - i]
+        """Id of w[i:j], 0-based and half-open, by one `str.find` bounded at
+        j; the caller keeps 0 <= i <= j <= n (`factor_id(i + 1, j + 1)` is
+        the validating, 1-based form)."""
         return self.word.find(self.word[i:j], 0, j) * self._stride + j - i
 
     def occurs_at(self, fid: int, i: int) -> bool:
-        """Whether word(fid) occurs at offset i (0-based): one list read with
-        the factor table, one `str.startswith` without it."""
+        """Whether word(fid) occurs at offset i (0-based): one `str.startswith`."""
         start, end = self.occurrence(fid)
-        if self._table is not None:
-            return end - start <= self.n - i and self._table[i][end - start] == fid
         return self.word.startswith(self.word[start:end], i)
 
     def id_of_word(self, factor: str) -> Optional[int]:
@@ -297,46 +292,40 @@ class WordIndex:
 
     def all_factor_ids(self) -> list[int]:
         """Every distinct id once, epsilon first, then in order of start and
-        length: w[i:i+k] for k > LPF[i].  Callers must not modify it."""
-        if self._factors is None:
-            n, stride = self.n, self._stride
-            factors = [EPSILON_ID]
-            for i, longest in enumerate(self._previous_factors()[0]):
-                factors += range(i * stride + longest + 1, i * stride + n - i + 1)
-            self._factors = factors
-        return self._factors
+        length: w[i:i+k] for k > LPF[i].  A new list on each call, one
+        `range` per start."""
+        n, stride = self.n, self._stride
+        factors = [EPSILON_ID]
+        for i, longest in enumerate(self._previous_factors()[0]):
+            factors += range(i * stride + longest + 1, i * stride + n - i + 1)
+        return factors
 
     # -- concatenation ----------------------------------------------------------
 
     def splits(self, fid: int) -> list[tuple[int, int]]:
         """(x, y) with word(fid) = word(x).word(y), one pair per cut of the
         canonical occurrence; distinct cuts give distinct pairs.  The whole
-        word's cuts before the factor table are one list kept by the index;
-        any other factor's are read from the table.  Callers must not modify
-        the result."""
+        word's cuts are one list kept by the index, whether or not the factor
+        table exists; any other factor's are read from the table, built on
+        first use.  Callers must not modify the result."""
         start, end = self.occurrence(fid)
         length = end - start
-        table = self._table
-        if table is None:
-            if length == self.n:
-                return self._whole_word_cuts()
-            table = self.factor_table()
+        if length == self.n:
+            return self._whole_word_cuts()
+        table = self.factor_table()
         row = table[start]
         return [(row[k], table[start + k][length - k]) for k in range(length + 1)]
 
     def square_root(self, fid: int) -> Optional[int]:
         """Id of r with word(fid) = r.r, else None: one cut, at the middle.
-        Without the factor table one `startswith` compares the halves, and
-        only equal ones cost a `str.find` for the root's id."""
+        One `startswith` compares the halves, and only equal ones cost a
+        `factor_at` for the root's id."""
         start, end = self.occurrence(fid)
         if (end - start) % 2:
             return None
         half = (start + end) // 2
-        if self._table is None:
-            word = self.word
-            return self.factor_at(start, half) if word.startswith(word[start:half], half) else None
-        root = self._table[start][half - start]
-        return root if root == self._table[half][end - half] else None
+        word = self.word
+        return self.factor_at(start, half) if word.startswith(word[start:half], half) else None
 
     # -- regex membership ---------------------------------------------------------
 

@@ -22,10 +22,6 @@ class WordeqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnboundVariableError(WordeqError):
-    pass
-
-
 class NotTerminalFreeError(WordeqError):
     pass
 

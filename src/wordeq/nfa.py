@@ -65,7 +65,31 @@ def thompson(ast: RegexAst) -> Nfa:
 
 def _build(nfa: Nfa, node: RegexAst) -> tuple[int, int]:
     """Entry and exit state of the fragment for `node` (module-level rather
-    than a recursive closure, which would be a reference cycle)."""
+    than a recursive closure, which would be a reference cycle).  The parser
+    nests concatenations and unions to the left, so their left spine is
+    walked with a loop, in the order a recursion would take: the leftmost
+    operand first, then each right operand, each node's own states after it."""
+    spine = []
+    while isinstance(node, (RConcat, RUnion)):
+        spine.append(node)
+        node = node.left
+    s, t = _leaf(nfa, node)
+    for node in reversed(spine):
+        rs, rt = _build(nfa, node.right)
+        if isinstance(node, RConcat):
+            nfa.eps[t].append(rs)
+            t = rt
+        else:
+            ls, lt = s, t
+            s, t = nfa._state(), nfa._state()
+            nfa.eps[s].extend([ls, rs])
+            nfa.eps[lt].append(t)
+            nfa.eps[rt].append(t)
+    return s, t
+
+
+def _leaf(nfa: Nfa, node: RegexAst) -> tuple[int, int]:
+    """Entry and exit state of a node that is not a concatenation or union."""
     if isinstance(node, REmpty):
         return nfa._state(), nfa._state()
     if isinstance(node, REpsilon):
@@ -76,19 +100,6 @@ def _build(nfa: Nfa, node: RegexAst) -> tuple[int, int]:
         s, t = nfa._state(), nfa._state()
         nfa.sym[s].append((node.symbol, t))
         return s, t
-    if isinstance(node, RUnion):
-        ls, lt = _build(nfa, node.left)
-        rs, rt = _build(nfa, node.right)
-        s, t = nfa._state(), nfa._state()
-        nfa.eps[s].extend([ls, rs])
-        nfa.eps[lt].append(t)
-        nfa.eps[rt].append(t)
-        return s, t
-    if isinstance(node, RConcat):
-        ls, lt = _build(nfa, node.left)
-        rs, rt = _build(nfa, node.right)
-        nfa.eps[lt].append(rs)
-        return ls, rt
     if isinstance(node, RStar):
         is_, it = _build(nfa, node.inner)
         s, t = nfa._state(), nfa._state()

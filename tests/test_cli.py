@@ -300,3 +300,36 @@ class TestPlanCommand:
         q = files("q.fcq", "ans() :- x1 = y1.y2.y3, x2 = y1.y4.y3")
         code, _, err = run(capsys, "plan", q)
         assert code == 1 and "cyclic" in err
+
+
+class TestLongLiteral:
+    """A 1200-letter terminal block: the parser nests its regex 1200 deep to
+    the left, which the NFA builder walks with a loop.  The dataclass repr
+    that `plan` prints recurses, and exits 2 with a diagnostic."""
+
+    @pytest.fixture
+    def word(self, files):
+        rng = random.Random(0)
+        w = "".join(rng.choice("ab") for _ in range(4000))
+        return w, files("w.txt", w)
+
+    def test_check_and_enum(self, files, capsys, word):
+        w, path = word
+        q = files("q.fcq", f"ans(x) :- u = x.'{w[-1200:]}'")
+        code, out, _ = run(capsys, "check", q, path)
+        assert code == 0 and out == "true\n"
+        code, out, _ = run(capsys, "enum", "--limit", "1", q, path)
+        assert code == 0 and out == f"x={w[:2800]!r} @[1,2801)\n"
+
+    def test_regex_constraint(self, files, capsys, word):
+        w, path = word
+        q = files("q.fcq", f"ans(x) :- x in /{w[-1200:]}/")
+        code, out, _ = run(capsys, "check", q, path)
+        assert code == 0 and out == "true\n"
+
+    def test_plan_nests_too_deeply(self, files, capsys, word):
+        w, _ = word
+        q = files("q.fcq", f"ans(x) :- u = x.'{w[-1200:]}'")
+        code, out, err = run(capsys, "plan", q)
+        assert code == 2 and out == ""
+        assert err == "error: the input nests too deeply\n"

@@ -18,6 +18,13 @@ from wordeq.model import InvalidSpanError
 from wordeq.nfa import Nfa, thompson
 
 
+def scramble_table(ix: WordIndex) -> None:
+    """Reverse every row of a built factor table in place, so a lookup that
+    reads the table gets ids of other spans."""
+    for row in ix._table:
+        row.reverse()
+
+
 def brute_distinct_factors(w: str) -> set[str]:
     return {""} | {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
 
@@ -134,6 +141,11 @@ class TestFactorTable:
                 start, end = ix.occurrence(fid)
                 assert start == w.find(ix.word_of(fid)), (w, fid)
                 assert ix.factor_at(start, end) == fid
+            # factor_at never reads the table.
+            scramble_table(ix)
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    assert ix.factor_at(i, j) == ref.factor_id(i + 1, j + 1), (w, i, j)
 
     def test_ids_before_the_table_keep_their_numbers(self, ab):
         from wordeq.frontend import parse_regex
@@ -156,16 +168,20 @@ class TestFactorTable:
 
     def test_occurs_at(self):
         """`occurs_at` with and without the factor table agrees with slicing
-        the word, for every factor at every offset."""
+        the word, for every factor at every offset, also once the table's
+        rows hold wrong ids: it never reads the table."""
         for w in all_words("ab", 6):
             ix, bare = build_index(w), build_index(w)
             n = len(w)
             ix.factor_table()
-            for fid in ix.all_factor_ids():
-                word = ix.word_of(fid)
-                for i in range(n + 1):
-                    expected = w[i:i + len(word)] == word
-                    assert ix.occurs_at(fid, i) == bare.occurs_at(fid, i) == expected, (w, fid, i)
+            for scrambled in (False, True):
+                if scrambled:
+                    scramble_table(ix)
+                for fid in ix.all_factor_ids():
+                    word = ix.word_of(fid)
+                    for i in range(n + 1):
+                        expected = w[i:i + len(word)] == word
+                        assert ix.occurs_at(fid, i) == bare.occurs_at(fid, i) == expected, (w, fid, i)
 
 
 def brute_previous_factor(w: str, i: int) -> int:
@@ -404,17 +420,24 @@ class TestWholeWordSplits:
                         for k in range(n + 1)]
             assert cuts == expected, w
             assert cuts == [(ix.factor_at(0, k), ix.factor_at(k, n)) for k in range(n + 1)], w
+            # The same kept list once the factor table exists.
+            kept = ix.splits(wid)
+            ix.factor_table()
+            assert ix.splits(wid) is kept, w
             for x, y in cuts:
                 assert ix.word_of(x) + ix.word_of(y) == w
                 for fid in (x, y):
                     assert ix.occurrence(fid)[0] == w.find(ix.word_of(fid)), (w, fid)
 
     def test_square_root(self):
+        """The middle cut by `startswith`, also once the factor table's rows
+        hold wrong ids: it never reads the table."""
         for w in all_words("ab", 8):
             for build_table in (False, True):
                 ix = build_index(w)
                 if build_table:
                     ix.factor_table()
+                    scramble_table(ix)
                     fids = ix.all_factor_ids()
                 else:
                     fids = [ix.whole_word_id()]

@@ -12,7 +12,6 @@ from wordeq.model import (
     CyclicQueryError,
     Pattern,
     UNIVERSE,
-    UnboundVariableError,
     Variable,
     default_alphabet,
     gyo,
@@ -45,6 +44,10 @@ class TestVarsOf:
 
     def test_terminal_only(self):
         assert vars_of(tuple("abba")) == set()
+
+
+class UnboundVariableError(Exception):
+    """A pattern variable that the substitution does not bind."""
 
 
 def apply_substitution(p: Pattern, subst: dict[Variable, str]) -> str:
