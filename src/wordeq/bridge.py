@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import reduce
+from typing import Optional
 
 from .model import (
     Alphabet,
@@ -15,26 +16,20 @@ from .model import (
     REpsilon,
     RLit,
     RStar,
-    RUnion,
     RegexAst,
     RegularConstraint,
     UNIVERSE,
     Variable,
     WordEquation,
     regex_any_of,
+    regex_fold,
+    regex_nodes,
 )
-from .planner import to_structured_normal_form
 
 
 def svars(ast: RegexAst) -> set[Variable]:
     """Spanner variables bound anywhere inside a regex formula."""
-    if isinstance(ast, RBind):
-        return {ast.var} | svars(ast.inner)
-    if isinstance(ast, (RUnion, RConcat)):
-        return svars(ast.left) | svars(ast.right)
-    if isinstance(ast, RStar):
-        return svars(ast.inner)
-    return set()
+    return {node.var for node in regex_nodes(ast) if isinstance(node, RBind)}
 
 
 @dataclass(frozen=True)
@@ -66,13 +61,22 @@ class ParseNode:
 
 def build_parse_tree(ast: RegexAst) -> ParseNode:
     """Parse tree with variable-free subexpressions as leaves."""
-    if isinstance(ast, RConcat) and svars(ast):
-        return ParseNode("concat", ast, (build_parse_tree(ast.left), build_parse_tree(ast.right)))
-    if isinstance(ast, RBind):
-        return ParseNode("bind", ast, (build_parse_tree(ast.inner),))
-    if svars(ast):
-        raise ValueError("formula is not synchronized: variables under union or star")
-    return ParseNode("leaf", ast)
+    return regex_fold(ast, _parse_node) or ParseNode("leaf", ast)
+
+
+def _parse_node(node: RegexAst, children: list[Optional[ParseNode]]) -> Optional[ParseNode]:
+    """The parse node of a node that binds a variable, given its operands';
+    None for a variable-free node."""
+    if isinstance(node, RBind):
+        (inner,) = children
+        return ParseNode("bind", node, (inner or ParseNode("leaf", node.inner),))
+    if all(child is None for child in children):
+        return None
+    if isinstance(node, RConcat):
+        left, right = children
+        return ParseNode("concat", node, (left or ParseNode("leaf", node.left),
+                                          right or ParseNode("leaf", node.right)))
+    raise ValueError("formula is not synchronized: variables under union or star")
 
 
 def prefix_var(x: Variable) -> Variable:
@@ -91,9 +95,7 @@ def sercq_to_fccq(p: SercqAst) -> FcCq:
     """Realize a SERCQ as a word-equation query over prefix/content variables."""
     equations: list[WordEquation] = []
     constraints: list[RegularConstraint] = []
-    used = {prefix_var(x).name for x in p.spanner_vars()}
-    used |= {content_var(x).name for x in p.spanner_vars()}
-    fresh = FreshVars(used)
+    fresh = FreshVars({f(x).name for x in p.spanner_vars() for f in (prefix_var, content_var)})
 
     for formula in p.formulas:
         root = build_parse_tree(formula)
@@ -154,6 +156,47 @@ def sercq_to_fccq(p: SercqAst) -> FcCq:
     return FcCq(tuple(head), tuple(equations), tuple(constraints))
 
 
+def to_structured_normal_form(q: FcCq) -> FcCq:
+    """Equivalent query with the universe variable on every left-hand side
+    and absent from every right-hand side."""
+    fresh = FreshVars(v.name for v in q.variables() | set(q.head))
+    work = list(q.equations)
+    constraints = list(q.constraints)
+    out: list[WordEquation] = []
+
+    # Step one: eliminate the universe variable from right-hand sides.
+    while work:
+        eq = work.pop(0)
+        split = next((i for i, it in enumerate(eq.rhs)
+                      if isinstance(it, Variable) and it.is_universe), None)
+        if split is None:
+            out.append(eq)
+            continue
+        before, after = eq.rhs[:split], eq.rhs[split + 1:]
+        if not eq.lhs.is_universe:
+            work.append(WordEquation(UNIVERSE, (eq.lhs,)))
+        z = fresh.fresh("z")
+        work.append(WordEquation(z, before))
+        work.append(WordEquation(z, after))
+        work.append(WordEquation(z, ()))
+
+    # Step two: relocate non-universe left-hand sides behind fresh context.
+    anchors: dict[Variable, tuple[Variable, Variable]] = {}
+    final: list[WordEquation] = []
+    for eq in out:
+        if eq.lhs.is_universe:
+            final.append(eq)
+            continue
+        if eq.lhs not in anchors:
+            p, s = fresh.fresh(f"p_{eq.lhs.name}"), fresh.fresh(f"s_{eq.lhs.name}")
+            anchors[eq.lhs] = (p, s)
+            final.append(WordEquation(UNIVERSE, (p, eq.lhs, s)))
+        p, s = anchors[eq.lhs]
+        final.append(WordEquation(UNIVERSE, (p,) + eq.rhs + (s,)))
+
+    return FcCq(q.head, tuple(final), tuple(constraints))
+
+
 def fccq_to_sercq(q: FcCq, alphabet: Alphabet) -> SercqAst:
     """Realize a word-equation query as a SERCQ (structured normal form first)."""
     snf = to_structured_normal_form(q)
@@ -200,38 +243,18 @@ def fccq_to_sercq(q: FcCq, alphabet: Alphabet) -> SercqAst:
 # --- the pseudo-acyclic fast path ---------------------------------------------
 
 
-def _concat_chain(ast: RegexAst) -> Iterator[RegexAst]:
-    if isinstance(ast, RConcat):
-        yield from _concat_chain(ast.left)
-        yield from _concat_chain(ast.right)
-    else:
-        yield ast
-
-
 def _single_binding_shape(formula: RegexAst) -> Optional[tuple[RegexAst, Variable, RegexAst, RegexAst]]:
     """Split a formula of shape before . x{inner} . after; None if not that shape."""
-    pieces = list(_concat_chain(formula))
-    binds = [i for i, p in enumerate(pieces) if isinstance(p, RBind)]
-    if len(binds) != 1:
+    pieces = [node for node in regex_nodes(formula, RConcat) if not isinstance(node, RConcat)]
+    binds = [i for i, piece in enumerate(pieces) if isinstance(piece, RBind)]
+    if len(binds) != 1 or sum(isinstance(node, RBind) for node in regex_nodes(formula)) != 1:
         return None
-    i = binds[0]
-    bind_node = pieces[i]
-    assert isinstance(bind_node, RBind)
-    if svars(bind_node.inner):
-        return None
-    for j, p in enumerate(pieces):
-        if j != i and svars(p):
-            return None
+    (i,) = binds
 
     def rejoin(parts: list[RegexAst]) -> RegexAst:
-        if not parts:
-            return REpsilon()
-        node = parts[0]
-        for p in parts[1:]:
-            node = RConcat(node, p)
-        return node
+        return reduce(RConcat, parts) if parts else REpsilon()
 
-    return rejoin(pieces[:i]), bind_node.var, bind_node.inner, rejoin(pieces[i + 1:])
+    return rejoin(pieces[:i]), pieces[i].var, pieces[i].inner, rejoin(pieces[i + 1:])
 
 
 def is_pseudo_acyclic(p: SercqAst) -> bool:
@@ -246,22 +269,21 @@ def pseudo_acyclic_to_acyclic_fccq(p: SercqAst) -> FcCq:
     constraints per formula, and one content equation per spanning-forest edge
     of the equality graph.
     """
-    if not is_pseudo_acyclic(p):
-        raise NotPseudoAcyclicError("some formula is not of the before.x{inner}.after shape")
+    shapes = []
+    for formula in p.formulas:
+        shape = _single_binding_shape(formula)
+        if shape is None:
+            raise NotPseudoAcyclicError("some formula is not of the before.x{inner}.after shape")
+        shapes.append(shape)
 
     equations: list[WordEquation] = []
     constraints: list[RegularConstraint] = []
-    fresh = FreshVars(
-        {prefix_var(x).name for x in p.spanner_vars()}
-        | {content_var(x).name for x in p.spanner_vars()}
-        | {suffix_var(x).name for x in p.spanner_vars()}
-    )
+    # Each formula binds one variable, so the shapes name every spanner variable.
+    fresh = FreshVars({f(x).name for _, x, _, _ in shapes
+                       for f in (prefix_var, content_var, suffix_var)})
 
     seen: set[Variable] = set()
-    for formula in p.formulas:
-        shape = _single_binding_shape(formula)
-        assert shape is not None
-        before, x, inner, after = shape
+    for before, x, inner, after in shapes:
         if x not in seen:
             seen.add(x)
             z = fresh.fresh("z")

@@ -1,8 +1,9 @@
 """Command-line surface: check, enum, plan, pattern, convert.
 
 Exit codes: 0 success/true/results, 1 false/empty/cyclic (expected negative),
-2 usage or parse error, or input that nests too deeply for Python's recursion
-limit, 3 internal invariant violation.  Diagnostics go to stderr, data to
+2 usage or parse error, or parentheses nested past Python's recursion limit
+(the parser recurses on them; every walk over a parsed regex keeps its own
+stack), 3 internal invariant violation.  Diagnostics go to stderr, data to
 stdout.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from .bridge import is_pseudo_acyclic, pseudo_acyclic_to_acyclic_fccq, sercq_to_fccq, fccq_to_sercq
+from .bridge import pseudo_acyclic_to_acyclic_fccq, sercq_to_fccq, fccq_to_sercq
 from .decompose import (
     find_acyclic_decomposition,
     is_acyclic_pattern,
@@ -34,6 +35,7 @@ from .model import (
     Alphabet,
     CyclicQueryError,
     FcCq,
+    NotPseudoAcyclicError,
     UNIVERSE,
     WordeqError,
     default_alphabet,
@@ -198,10 +200,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.direction == "sercq2fc":
         sercq = parse_sercq(text, alphabet)
         if args.acyclic:
-            if not is_pseudo_acyclic(sercq):
+            try:
+                query = pseudo_acyclic_to_acyclic_fccq(sercq)
+            except NotPseudoAcyclicError:
                 print("input expression is not pseudo-acyclic", file=sys.stderr)
                 return EXIT_NEGATIVE
-            query = pseudo_acyclic_to_acyclic_fccq(sercq)
         else:
             query = sercq_to_fccq(sercq)
         out = print_query(query, alphabet)

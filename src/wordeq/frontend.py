@@ -20,6 +20,7 @@ where formulas extend regexes with bindings ``x{ regex }``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 from typing import Optional
 
@@ -32,7 +33,6 @@ from .model import (
     RBind,
     RConcat,
     REmpty,
-    REpsilon,
     RLit,
     RStar,
     RUnion,
@@ -44,6 +44,8 @@ from .model import (
     WordEquation,
     WordeqError,
     regex_any_of,
+    regex_fold,
+    regex_nodes,
     regex_word,
 )
 
@@ -365,28 +367,19 @@ def parse_pattern_literal(text: str, alphabet: Alphabet) -> Pattern:
 # --- SERCQs --------------------------------------------------------------------
 
 
-# Module-level, not a closure: a closure that calls itself is a reference cycle.
-def _validate_formula(node: RegexAst, text_span: SourceSpan, bound: list[Variable]) -> None:
-    """Reject bindings under a union or a star, and variables bound twice;
-    ``bound`` collects the variables bound so far in the formula."""
-    if isinstance(node, RUnion):
-        if svars(node.left) or svars(node.right):
+def _validate_formula(formula: RegexAst, text_span: SourceSpan) -> None:
+    """Reject bindings under a union or a star, and variables bound twice."""
+    bound: set[Variable] = set()
+    for node in regex_nodes(formula, (RConcat, RBind)):
+        if isinstance(node, RUnion) and svars(node):
             raise NotSynchronizedError("variable binding under a union", text_span)
-        return
-    if isinstance(node, RStar):
-        if svars(node.inner):
+        if isinstance(node, RStar) and svars(node):
             raise NotFunctionalError("variable binding under a star", text_span)
-        return
-    if isinstance(node, RBind):
-        if node.var in bound:
-            raise NotFunctionalError(f"variable {node.var} bound twice in one formula",
-                                     text_span)
-        bound.append(node.var)
-        _validate_formula(node.inner, text_span, bound)
-        return
-    if isinstance(node, RConcat):
-        _validate_formula(node.left, text_span, bound)
-        _validate_formula(node.right, text_span, bound)
+        if isinstance(node, RBind):
+            if node.var in bound:
+                raise NotFunctionalError(f"variable {node.var} bound twice in one formula",
+                                         text_span)
+            bound.add(node.var)
 
 
 def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
@@ -422,7 +415,7 @@ def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
     while True:
         fstart = sc.pos
         formula = _RegexParser(sc, alphabet, allow_bindings=True).parse_union()
-        _validate_formula(formula, SourceSpan(fstart, sc.pos), [])
+        _validate_formula(formula, SourceSpan(fstart, sc.pos))
         formulas.append(formula)
         sc.skip_ws()
         if sc.text.startswith("join", sc.pos):
@@ -459,57 +452,36 @@ def print_regex(ast: RegexAst, alphabet: Optional[Alphabet] = None,
     concatenations dotted, which keeps them apart from binding identifiers.
     """
     sigma = regex_any_of(alphabet.symbols) if alphabet is not None else None
-    return _printed(ast, sigma, quote_literals)
+    return regex_fold(ast, partial(_printed, sigma, quote_literals), share=True)[0]
 
 
-def _precedence(node: RegexAst, sigma: Optional[RegexAst]) -> int:
+def _printed(sigma: Optional[RegexAst], quote_literals: bool, node: RegexAst,
+             operands: list[tuple[str, int]]) -> tuple[str, int]:
+    """Text and precedence (1 union, 2 concatenation, 3 atom) of a node,
+    given its operands'."""
     if sigma is not None and node == sigma:
-        return 3  # prints as the atomic macro S
+        return "S", 3
     if isinstance(node, RUnion):
-        return 1
+        (left, _), (right, _) = operands
+        return f"{left}|({right})" if isinstance(node.right, RUnion) else f"{left}|{right}", 1
     if isinstance(node, RConcat):
-        return 2
-    return 3
-
-
-# Module-level, not a closure: a closure that calls itself is a reference cycle.
-def _printed(node: RegexAst, sigma: Optional[RegexAst], quote_literals: bool) -> str:
-    if sigma is not None and node == sigma:
-        return "S"
-    if isinstance(node, REmpty):
-        return "#"
-    if isinstance(node, REpsilon):
-        return "''"
-    if isinstance(node, RLit):
-        return f"'{node.symbol}'" if quote_literals else node.symbol
-    if isinstance(node, RBind):
-        return f"{node.var.name}{{{_printed(node.inner, sigma, quote_literals)}}}"
-    if isinstance(node, RStar):
-        body = _printed(node.inner, sigma, quote_literals)
-        if _precedence(node.inner, sigma) < 3:
-            body = f"({body})"
-        return body + "*"
-    if isinstance(node, RConcat):
-        # X.X* prints as X+ (the parser expands + the same way).
+        left, right = operands
         if isinstance(node.right, RStar) and node.right.inner == node.left:
-            body = _printed(node.left, sigma, quote_literals)
-            if _precedence(node.left, sigma) < 3:
-                body = f"({body})"
-            return body + "+"
-        left = _printed(node.left, sigma, quote_literals)
-        if _precedence(node.left, sigma) < 2:
-            left = f"({left})"
-        right = _printed(node.right, sigma, quote_literals)
-        if _precedence(node.right, sigma) < 3:
-            right = f"({right})"
-        return left + ("." if quote_literals else "") + right
-    if isinstance(node, RUnion):
-        left = _printed(node.left, sigma, quote_literals)
-        right = _printed(node.right, sigma, quote_literals)
-        if isinstance(node.right, RUnion):
-            right = f"({right})"
-        return f"{left}|{right}"
-    raise TypeError(f"unknown regex node {node!r}")
+            return _tight(left, 3) + "+", 2  # X.X* prints as X+, as the parser reads it
+        return _tight(left, 2) + ("." if quote_literals else "") + _tight(right, 3), 2
+    if isinstance(node, RStar):
+        return _tight(operands[0], 3) + "*", 3
+    if isinstance(node, RBind):
+        return f"{node.var.name}{{{operands[0][0]}}}", 3
+    if isinstance(node, RLit):
+        return (f"'{node.symbol}'" if quote_literals else node.symbol), 3
+    return ("#" if isinstance(node, REmpty) else "''"), 3
+
+
+def _tight(printed: tuple[str, int], precedence: int) -> str:
+    """The text, in parentheses if it binds looser than ``precedence``."""
+    text, own = printed
+    return text if own >= precedence else f"({text})"
 
 
 def print_pattern(p: Pattern) -> str:

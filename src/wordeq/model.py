@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 #: Characters that the query grammar claims for itself.  No alphabet may
 #: contain them (``S`` is the sigma macro, ``u`` names the universe variable
@@ -152,50 +152,119 @@ class RegexAst:
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        return regex_fold(self, _repr_node)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class REmpty(RegexAst):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class REpsilon(RegexAst):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RLit(RegexAst):
     __slots__ = ("symbol",)
     symbol: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RUnion(RegexAst):
     __slots__ = ("left", "right")
     left: RegexAst
     right: RegexAst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RConcat(RegexAst):
     __slots__ = ("left", "right")
     left: RegexAst
     right: RegexAst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RStar(RegexAst):
     __slots__ = ("inner",)
     inner: RegexAst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RBind(RegexAst):
     """Variable binding of regex formulas; only valid inside spanner formulas."""
 
     __slots__ = ("var", "inner")
     var: "Variable"
     inner: RegexAst
+
+
+# Every walk over a regex goes through the two helpers below, which keep
+# their own stack: the parser nests a literal one level per letter, deeper
+# than Python's recursion limit allows.
+
+def _operands(node: RegexAst) -> tuple[RegexAst, ...]:
+    """A node's operands, in the order every walk visits them."""
+    if isinstance(node, (RConcat, RUnion)):
+        return node.left, node.right
+    if isinstance(node, (RStar, RBind)):
+        return (node.inner,)
+    return ()
+
+
+def regex_nodes(root: RegexAst,
+                into: Union[type, tuple[type, ...]] = RegexAst) -> Iterator[RegexAst]:
+    """The nodes in pre-order, left operand first, descending only into
+    instances of ``into``."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, into):
+            stack.extend(reversed(_operands(node)))
+
+
+T = TypeVar("T")
+
+
+def regex_fold(root: RegexAst, combine: Callable[[RegexAst, list[T]], T], share: bool = False) -> T:
+    """Left-to-right post-order fold: ``combine(node, values)`` gets the
+    values of the node's operands, in order, and returns the node's.  With
+    ``share``, a node object met again reuses its value; that keeps a pure
+    ``combine`` linear on the parser's X+, which holds X twice."""
+    values: list[T] = []
+    seen: dict[int, T] = {}
+    stack: list = [root]   # nodes to visit, and (node, operand count) to combine
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, k = node
+        elif share and id(node) in seen:
+            values.append(seen[id(node)])
+            continue
+        else:
+            operands = _operands(node)
+            if operands:
+                stack.append((node, len(operands)))
+                stack.extend(reversed(operands))
+                continue
+            k = 0
+        value = combine(node, values[len(values) - k:])
+        del values[len(values) - k:]
+        values.append(value)
+        if share:
+            seen[id(node)] = value
+    return values[0]
+
+
+def _repr_node(node: RegexAst, operands: list[str]) -> str:
+    """The dataclass repr of a node, given its operands' reprs."""
+    shown = iter(operands)
+    fields = [f"{name}={next(shown)}" if name in ("left", "right", "inner")
+              else f"{name}={getattr(node, name)!r}" for name in node.__slots__]
+    return f"{type(node).__name__}({', '.join(fields)})"
 
 
 def regex_word(word: str) -> RegexAst:

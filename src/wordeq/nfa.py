@@ -1,13 +1,15 @@
 """Thompson-style NFA construction and subset simulation (no backtracking).
 
 Symbols are arbitrary hashable tokens, so the same machinery runs plain
-regexes over characters and marker-extended ref-words.
+regexes over characters and marker-extended ref-words.  The construction is
+one fold over the regex (`regex_fold`), so it takes any nesting depth.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Hashable, Iterable, Sequence
 
-from .model import RConcat, REmpty, REpsilon, RLit, RStar, RUnion, RegexAst
+from .model import RBind, RConcat, REpsilon, RLit, RStar, RUnion, RegexAst, regex_fold
 
 
 class Nfa:
@@ -57,53 +59,34 @@ class Nfa:
 def thompson(ast: RegexAst) -> Nfa:
     """Compile a regex AST into an NFA via the standard construction."""
     nfa = Nfa()
-    s, t = _build(nfa, ast)
+    s, t = regex_fold(ast, partial(_fragment, nfa))
     nfa.eps[nfa.start].append(s)
     nfa.eps[t].append(nfa.accept)
     return nfa
 
 
-def _build(nfa: Nfa, node: RegexAst) -> tuple[int, int]:
-    """Entry and exit state of the fragment for `node` (module-level rather
-    than a recursive closure, which would be a reference cycle).  The parser
-    nests concatenations and unions to the left, so their left spine is
-    walked with a loop, in the order a recursion would take: the leftmost
-    operand first, then each right operand, each node's own states after it."""
-    spine = []
-    while isinstance(node, (RConcat, RUnion)):
-        spine.append(node)
-        node = node.left
-    s, t = _leaf(nfa, node)
-    for node in reversed(spine):
-        rs, rt = _build(nfa, node.right)
-        if isinstance(node, RConcat):
-            nfa.eps[t].append(rs)
-            t = rt
-        else:
-            ls, lt = s, t
-            s, t = nfa._state(), nfa._state()
-            nfa.eps[s].extend([ls, rs])
-            nfa.eps[lt].append(t)
-            nfa.eps[rt].append(t)
-    return s, t
-
-
-def _leaf(nfa: Nfa, node: RegexAst) -> tuple[int, int]:
-    """Entry and exit state of a node that is not a concatenation or union."""
-    if isinstance(node, REmpty):
-        return nfa._state(), nfa._state()
+def _fragment(nfa: Nfa, node: RegexAst, operands: list[tuple[int, int]]) -> tuple[int, int]:
+    """Entry and exit state of the fragment for `node`, given its operands';
+    the empty language is two states with no edge.  The fold makes a node's
+    states after its operands', as a recursion would."""
+    if isinstance(node, RConcat):
+        (ls, lt), (rs, rt) = operands
+        nfa.eps[lt].append(rs)
+        return ls, rt
+    if isinstance(node, RBind):
+        raise TypeError(f"unknown regex node {node!r}")
+    s, t = nfa._state(), nfa._state()
     if isinstance(node, REpsilon):
-        s, t = nfa._state(), nfa._state()
         nfa.eps[s].append(t)
-        return s, t
-    if isinstance(node, RLit):
-        s, t = nfa._state(), nfa._state()
+    elif isinstance(node, RLit):
         nfa.sym[s].append((node.symbol, t))
-        return s, t
-    if isinstance(node, RStar):
-        is_, it = _build(nfa, node.inner)
-        s, t = nfa._state(), nfa._state()
+    elif isinstance(node, RUnion):
+        (ls, lt), (rs, rt) = operands
+        nfa.eps[s].extend([ls, rs])
+        nfa.eps[lt].append(t)
+        nfa.eps[rt].append(t)
+    elif isinstance(node, RStar):
+        ((is_, it),) = operands
         nfa.eps[s].extend([is_, t])
         nfa.eps[it].extend([is_, t])
-        return s, t
-    raise TypeError(f"unknown regex node {node!r}")
+    return s, t

@@ -20,8 +20,6 @@ from .model import (
     RBind,
     RConcat,
     RLit,
-    RStar,
-    RUnion,
     RegexAst,
     SmallEquation,
     TooLargeError,
@@ -31,6 +29,8 @@ from .model import (
     bracketing_pattern,
     gyo,
     is_terminal_free,
+    regex_fold,
+    regex_nodes,
     vars_of,
 )
 from .nfa import thompson
@@ -230,28 +230,16 @@ OPEN = "open"
 CLOSE = "close"
 
 
-def _marker_ast(ast: RegexAst) -> RegexAst:
-    """Rewrite bindings x{g} into (open,x) g (close,x) literal markers."""
-    if isinstance(ast, RBind):
-        inner = _marker_ast(ast.inner)
-        return RConcat(RConcat(RLit((OPEN, ast.var.name)), inner), RLit((CLOSE, ast.var.name)))
-    if isinstance(ast, RConcat):
-        return RConcat(_marker_ast(ast.left), _marker_ast(ast.right))
-    if isinstance(ast, RUnion):
-        return RUnion(_marker_ast(ast.left), _marker_ast(ast.right))
-    if isinstance(ast, RStar):
-        return RStar(_marker_ast(ast.inner))
-    return ast
+def _marker_ast(node: RegexAst, operands: list[RegexAst]) -> RegexAst:
+    """Fold step that rewrites bindings x{g} into (open,x) g (close,x) literal markers."""
+    if isinstance(node, RBind):
+        (inner,) = operands
+        return RConcat(RConcat(RLit((OPEN, node.var.name)), inner), RLit((CLOSE, node.var.name)))
+    return type(node)(*operands) if operands else node
 
 
 def _formula_svars(ast: RegexAst) -> set[Variable]:
-    if isinstance(ast, RBind):
-        return {ast.var} | _formula_svars(ast.inner)
-    if isinstance(ast, (RConcat, RUnion)):
-        return _formula_svars(ast.left) | _formula_svars(ast.right)
-    if isinstance(ast, RStar):
-        return _formula_svars(ast.inner)
-    return set()
+    return {node.var for node in regex_nodes(ast) if isinstance(node, RBind)}
 
 
 SpanTuple = dict[Variable, tuple[int, int]]
@@ -261,7 +249,7 @@ def formula_span_tuples(formula: RegexAst, w: str) -> list[SpanTuple]:
     """Ref-word semantics of one formula: insert markers into w in every valid
     interleaving and keep those the marker NFA accepts."""
     variables = sorted(_formula_svars(formula), key=lambda v: v.name)
-    nfa = thompson(_marker_ast(formula))
+    nfa = thompson(regex_fold(formula, _marker_ast))
     results: list[SpanTuple] = []
     seen: set[tuple] = set()
 

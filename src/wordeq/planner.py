@@ -156,47 +156,6 @@ def normalize(q: FcCq) -> NormalizedQuery:
     return NormalizedQuery(out, tuple(trace), frozenset(eps_vars))
 
 
-def to_structured_normal_form(q: FcCq) -> FcCq:
-    """Equivalent query with the universe variable on every left-hand side
-    and absent from every right-hand side."""
-    fresh = FreshVars(v.name for v in q.variables() | set(q.head))
-    work = list(q.equations)
-    constraints = list(q.constraints)
-    out: list[WordEquation] = []
-
-    # Step one: eliminate the universe variable from right-hand sides.
-    while work:
-        eq = work.pop(0)
-        split = next((i for i, it in enumerate(eq.rhs)
-                      if isinstance(it, Variable) and it.is_universe), None)
-        if split is None:
-            out.append(eq)
-            continue
-        before, after = eq.rhs[:split], eq.rhs[split + 1:]
-        if not eq.lhs.is_universe:
-            work.append(WordEquation(UNIVERSE, (eq.lhs,)))
-        z = fresh.fresh("z")
-        work.append(WordEquation(z, before))
-        work.append(WordEquation(z, after))
-        work.append(WordEquation(z, ()))
-
-    # Step two: relocate non-universe left-hand sides behind fresh context.
-    anchors: dict[Variable, tuple[Variable, Variable]] = {}
-    final: list[WordEquation] = []
-    for eq in out:
-        if eq.lhs.is_universe:
-            final.append(eq)
-            continue
-        if eq.lhs not in anchors:
-            p, s = fresh.fresh(f"p_{eq.lhs.name}"), fresh.fresh(f"s_{eq.lhs.name}")
-            anchors[eq.lhs] = (p, s)
-            final.append(WordEquation(UNIVERSE, (p, eq.lhs, s)))
-        p, s = anchors[eq.lhs]
-        final.append(WordEquation(UNIVERSE, (p,) + eq.rhs + (s,)))
-
-    return FcCq(q.head, tuple(final), tuple(constraints))
-
-
 # --- weak join trees and prechecks ---------------------------------------------
 
 

@@ -13,7 +13,7 @@ from wordeq import cli
 from wordeq.cli import main
 from wordeq.evaluator import enumerate_results
 from wordeq.frontend import parse_query, parse_sercq, print_query
-from wordeq.model import CyclicQueryError, UNIVERSE, default_alphabet
+from wordeq.model import CyclicQueryError, UNIVERSE, Variable, default_alphabet
 from wordeq.oracle import brute_evaluate
 from wordeq.planner import plan
 
@@ -304,8 +304,7 @@ class TestPlanCommand:
 
 class TestLongLiteral:
     """A 1200-letter terminal block: the parser nests its regex 1200 deep to
-    the left, which the NFA builder walks with a loop.  The dataclass repr
-    that `plan` prints recurses, and exits 2 with a diagnostic."""
+    the left, past Python's recursion limit, and every command answers."""
 
     @pytest.fixture
     def word(self, files):
@@ -327,9 +326,27 @@ class TestLongLiteral:
         code, out, _ = run(capsys, "check", q, path)
         assert code == 0 and out == "true\n"
 
-    def test_plan_nests_too_deeply(self, files, capsys, word):
-        w, _ = word
+    def test_plan_and_explain(self, files, capsys, word):
+        w, path = word
         q = files("q.fcq", f"ans(x) :- u = x.'{w[-1200:]}'")
         code, out, err = run(capsys, "plan", q)
-        assert code == 2 and out == ""
-        assert err == "error: the input nests too deeply\n"
+        assert code == 0 and out.startswith("normalized query:\n") and err == ""
+        code, out, err = run(capsys, "check", "--explain", q, path)
+        assert code == 0 and out == "true\n" and err.startswith("normalized query:\n")
+
+    def test_convert_round_trip(self, files, capsys, word):
+        w, _ = word
+        q = files("q.fcq", f"ans(x) :- u = x.'{w[-1200:]}'")
+        code, sercq, _ = run(capsys, "convert", "fc2sercq", q)
+        assert code == 0 and sercq.startswith("pi{x} ( x{S*}.")
+        code, out, _ = run(capsys, "convert", "sercq2fc", files("q.sercq", sercq))
+        assert code == 0
+        assert parse_query(out, default_alphabet()).head == (Variable("x_p"), Variable("x_c"))
+
+    def test_pseudo_acyclic_convert(self, files, capsys, word):
+        w, _ = word
+        sercq = files("q.sercq", f"pi{{x}} ( x{{'{w[:1200]}'}} S* )")
+        code, out, _ = run(capsys, "convert", "sercq2fc", "--acyclic", sercq)
+        assert code == 0
+        assert out == (f"ans(x_p,x_c) :- u = x_p.z1, z1 = x_c.x_s, x_p in /''/, "
+                       f"x_c in /{w[:1200]}/, x_s in /S*/\n")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +24,7 @@ from wordeq.frontend import (
 from wordeq.model import (
     Alphabet,
     FcCq,
+    RBind,
     RConcat,
     REmpty,
     REpsilon,
@@ -29,9 +33,13 @@ from wordeq.model import (
     RUnion,
     RegularConstraint,
     UNIVERSE,
+    Variable,
     WordEquation,
     default_alphabet,
+    regex_any_of,
+    regex_word,
 )
+from wordeq.nfa import thompson
 
 ALPHA = default_alphabet()
 
@@ -152,6 +160,92 @@ class TestRoundTrips:
         text = "pi{x1} eq{x1,x2} ( S*.x1{S+}.'a'.S* join S*.x2{S+}.'b'.S* )"
         p = parse_sercq(text, two)
         assert parse_sercq(print_sercq(p, two), two) == p
+
+
+ABC = Alphabet(("a", "b", "c"))
+
+
+def random_regex(rng: random.Random, depth: int, binds: bool):
+    """A seeded regex about ``depth`` deep: every node kind, the S macro,
+    literal words, and both shapes that print as X+."""
+    if depth <= 0 or rng.random() < 0.2:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return REmpty()
+        if kind == 1:
+            return REpsilon()
+        if kind == 2:
+            return regex_any_of(ABC.symbols)
+        if kind == 3:
+            return regex_word("".join(rng.choice("abc") for _ in range(rng.randrange(2, 5))))
+        return RLit(rng.choice("abc"))
+    kind = rng.randrange(6 if binds else 5)
+    if kind == 0:
+        return RUnion(random_regex(rng, depth - 1, binds), random_regex(rng, depth - 1, binds))
+    if kind == 1:
+        return RConcat(random_regex(rng, depth - 1, binds), random_regex(rng, depth - 1, binds))
+    if kind == 2:
+        return RStar(random_regex(rng, depth - 1, binds))
+    if kind == 3:
+        # X.X*, with X shared as the parser builds it, or rebuilt equal.
+        seed = rng.random()
+        inner = random_regex(random.Random(seed), depth - 2, binds)
+        again = inner if rng.random() < 0.5 else random_regex(random.Random(seed), depth - 2, binds)
+        return RConcat(inner, RStar(again))
+    if kind == 4:
+        return RConcat(RUnion(RLit("a"), random_regex(rng, depth - 1, binds)),
+                       RStar(random_regex(rng, depth - 1, binds)))
+    return RBind(Variable(rng.choice(["x", "y1", "z_2"])), random_regex(rng, depth - 1, binds))
+
+
+class TestRegexWalks:
+    # sha256 of the text below as written by the recursive walkers that the
+    # explicit-stack traversal replaced: the NFA builder, the dataclass repr
+    # and the printer.
+    DIGEST = "c612c903aa5faf54ddb1934721c76ab1c9f4534f8af2d9e3a3b60dcfd6077fce"
+
+    def test_golden_digest(self):
+        rng = random.Random(26)
+        lines = []
+        for k in range(3000):
+            binds = k % 3 == 0
+            r = random_regex(rng, rng.randrange(1, 8), binds)
+            lines.append(repr(r))
+            lines.append(repr(RegularConstraint(Variable("x"), r)))
+            lines.append(print_regex(r))
+            lines.append(print_regex(r, ABC))
+            lines.append(print_regex(r, ABC, quote_literals=True))
+            if not binds:
+                nfa = thompson(r)
+                lines.append(repr((nfa.eps, nfa.sym, nfa.start, nfa.accept)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+
+    def test_deeper_than_the_recursion_limit(self):
+        # Trees are compared by repr: the dataclass __eq__ still recurses.
+        word = "ab" * 2500
+        concat, union = regex_word(word), regex_any_of(word)
+        concat_repr, union_repr = repr(concat), repr(union)
+        assert concat_repr.startswith("RConcat(left=" * 4999 + "RLit(symbol='a'), right=")
+        assert union_repr == "RUnion(left=" * 4999 + "RLit(symbol='a')" + "".join(
+            f", right=RLit(symbol={ch!r}))" for ch in word[1:])
+        assert print_regex(concat) == word
+        assert print_regex(union, ABC) == "|".join(word)
+        assert repr(parse_regex(print_regex(concat, ABC, True), ABC)) == concat_repr
+        assert repr(parse_regex(print_regex(union, ABC), ABC)) == union_repr
+        x = Variable("x")
+        bound = RConcat(RBind(x, RLit("a")), concat)
+        for ch in word:
+            bound = RConcat(bound, RLit(ch))
+        assert svars(bound) == {x}
+        assert thompson(concat).accepts(word) and not thompson(concat).accepts(word[:-1])
+        assert thompson(union).accepts("b") and not thompson(union).accepts("ab")
+
+    def test_shared_operand_printed_once(self):
+        # The parser builds X+ as X.X* around one X object, so "a" and 40
+        # pluses unfold to a tree of 2^40 leaves; the printer visits each
+        # object once.
+        text = "a" + "+" * 40
+        assert print_regex(parse_regex(text, ALPHA)) == "(" * 39 + "a" + "+)" * 39 + "+"
 
 
 class TestParseSercq:

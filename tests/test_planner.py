@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import AB, all_words, random_fccq, random_fccq_wide, v
-from wordeq.bridge import pseudo_acyclic_to_acyclic_fccq, sercq_to_fccq
+from wordeq.bridge import pseudo_acyclic_to_acyclic_fccq, sercq_to_fccq, to_structured_normal_form
 from wordeq.evaluator import enumerate_results, model_check
 from wordeq.frontend import parse_query
 from wordeq.index import build_index
@@ -33,7 +33,6 @@ from wordeq.planner import (
     plan,
     prefactor_common_subpatterns,
     skeleton_of,
-    to_structured_normal_form,
     weak_join_tree,
 )
 
