@@ -10,7 +10,6 @@ from .model import (
     FcCq,
     FreshVars,
     NotPseudoAcyclicError,
-    Pattern,
     RBind,
     RConcat,
     REpsilon,
@@ -21,15 +20,12 @@ from .model import (
     UNIVERSE,
     Variable,
     WordEquation,
+    binding_ids,
     regex_any_of,
     regex_fold,
     regex_nodes,
+    svars,
 )
-
-
-def svars(ast: RegexAst) -> set[Variable]:
-    """Spanner variables bound anywhere inside a regex formula."""
-    return {node.var for node in regex_nodes(ast) if isinstance(node, RBind)}
 
 
 @dataclass(frozen=True)
@@ -47,38 +43,6 @@ class SercqAst:
         return out
 
 
-# --- parse trees for synchronized regex formulas ------------------------------
-
-
-@dataclass(frozen=True)
-class ParseNode:
-    """Node of the formula parse tree: 'concat', 'bind' or 'leaf'."""
-
-    kind: str
-    expr: RegexAst
-    children: tuple["ParseNode", ...] = ()
-
-
-def build_parse_tree(ast: RegexAst) -> ParseNode:
-    """Parse tree with variable-free subexpressions as leaves."""
-    return regex_fold(ast, _parse_node) or ParseNode("leaf", ast)
-
-
-def _parse_node(node: RegexAst, children: list[Optional[ParseNode]]) -> Optional[ParseNode]:
-    """The parse node of a node that binds a variable, given its operands';
-    None for a variable-free node."""
-    if isinstance(node, RBind):
-        (inner,) = children
-        return ParseNode("bind", node, (inner or ParseNode("leaf", node.inner),))
-    if all(child is None for child in children):
-        return None
-    if isinstance(node, RConcat):
-        left, right = children
-        return ParseNode("concat", node, (left or ParseNode("leaf", node.left),
-                                          right or ParseNode("leaf", node.right)))
-    raise ValueError("formula is not synchronized: variables under union or star")
-
-
 def prefix_var(x: Variable) -> Variable:
     return Variable(f"{x.name}_p")
 
@@ -92,60 +56,52 @@ def suffix_var(x: Variable) -> Variable:
 
 
 def sercq_to_fccq(p: SercqAst) -> FcCq:
-    """Realize a SERCQ as a word-equation query over prefix/content variables."""
+    """Realize a SERCQ as a word-equation query over prefix/content variables.
+
+    Each formula's parse tree has its bindings and the concatenations above
+    them as inner nodes, and its variable-free subexpressions as leaves.
+    Every parse node is named in pre-order (a binding by its content
+    variable, any other by a fresh v) and equals the concatenation of its
+    children; a leaf is constrained by its subexpression, and a binding's
+    prefix variable is the concatenation of the left siblings on its path
+    to the root.
+    """
     equations: list[WordEquation] = []
     constraints: list[RegularConstraint] = []
     fresh = FreshVars({f(x).name for x in p.spanner_vars() for f in (prefix_var, content_var)})
 
     for formula in p.formulas:
-        root = build_parse_tree(formula)
-        if root.kind == "leaf":
+        binding = binding_ids(formula)
+        if id(formula) not in binding:
             # Variable-free formula: the whole input word must match it.
-            constraints.append(RegularConstraint(UNIVERSE, root.expr))
+            constraints.append(RegularConstraint(UNIVERSE, formula))
             continue
-
-        node_var: dict[int, Variable] = {}
-        parent: dict[int, tuple[ParseNode, int]] = {}
-        order: list[ParseNode] = []
-        todo = [root]
-        while todo:
-            n = todo.pop()
-            order.append(n)
-            for i, c in enumerate(n.children):
-                parent[id(c)] = (n, i)
-            todo.extend(reversed(n.children))
-        for n in order:
-            if n.kind == "bind":
-                node_var[id(n)] = content_var(n.expr.var)  # type: ignore[attr-defined]
+        # A node object may recur (X+ holds X twice), so the walk numbers
+        # positions, not objects.  An equation is a row [left side, operands]
+        # whose operands are replaced by their variables as the walk meets
+        # them; a position carries its left siblings up to its parent's row.
+        rows: list[list] = [[UNIVERSE, formula]]
+        prefixes: list[WordEquation] = []
+        stack: list[tuple[RegexAst, tuple[Variable, ...], list, int]] = [(formula, (), rows[0], 1)]
+        while stack:
+            node, left, row, i = stack.pop()
+            left += tuple(row[1:i])
+            var = content_var(node.var) if isinstance(node, RBind) else fresh.fresh("v")
+            row[i] = var
+            if id(node) not in binding:
+                constraints.append(RegularConstraint(var, node))
+                continue
+            if isinstance(node, RBind):
+                prefixes.append(WordEquation(prefix_var(node.var), left))
+                row = [var, node.inner]
+            elif isinstance(node, RConcat):
+                row = [var, node.left, node.right]
             else:
-                node_var[id(n)] = fresh.fresh("v")
-
-        equations.append(WordEquation(UNIVERSE, (node_var[id(root)],)))
-        for n in order:
-            v = node_var[id(n)]
-            if n.kind == "concat":
-                l, r = n.children
-                equations.append(WordEquation(v, (node_var[id(l)], node_var[id(r)])))
-            elif n.kind == "bind":
-                equations.append(WordEquation(v, (node_var[id(n.children[0])],)))
-            else:
-                constraints.append(RegularConstraint(v, n.expr))
-
-        def prefix_pattern(n: ParseNode) -> Pattern:
-            # Concatenation of left-sibling variables along the path to the root.
-            cur = n
-            parts: list[Variable] = []
-            while id(cur) in parent:
-                par, idx = parent[id(cur)]
-                if par.kind == "concat" and idx == 1:
-                    parts.append(node_var[id(par.children[0])])
-                cur = par
-            return tuple(reversed(parts))
-
-        for n in order:
-            if n.kind == "bind":
-                x = n.expr.var  # type: ignore[attr-defined]
-                equations.append(WordEquation(prefix_var(x), prefix_pattern(n)))
+                raise ValueError("formula is not synchronized: variables under union or star")
+            rows.append(row)
+            stack.extend((row[k], left, row, k) for k in range(len(row) - 1, 0, -1))
+        equations.extend(WordEquation(row[0], tuple(row[1:])) for row in rows)
+        equations.extend(prefixes)
 
     for x, y in p.equalities:
         equations.append(WordEquation(content_var(x), (content_var(y),)))
@@ -247,7 +203,7 @@ def _single_binding_shape(formula: RegexAst) -> Optional[tuple[RegexAst, Variabl
     """Split a formula of shape before . x{inner} . after; None if not that shape."""
     pieces = [node for node in regex_nodes(formula, RConcat) if not isinstance(node, RConcat)]
     binds = [i for i, piece in enumerate(pieces) if isinstance(piece, RBind)]
-    if len(binds) != 1 or sum(isinstance(node, RBind) for node in regex_nodes(formula)) != 1:
+    if len(binds) != 1 or regex_fold(formula, _binding_count, share=True) != 1:
         return None
     (i,) = binds
 
@@ -255,6 +211,12 @@ def _single_binding_shape(formula: RegexAst) -> Optional[tuple[RegexAst, Variabl
         return reduce(RConcat, parts) if parts else REpsilon()
 
     return rejoin(pieces[:i]), pieces[i].var, pieces[i].inner, rejoin(pieces[i + 1:])
+
+
+def _binding_count(node: RegexAst, operands: list[int]) -> int:
+    """The bindings in a node, given its operands' counts: a shared operand
+    counts once per occurrence."""
+    return sum(operands) + isinstance(node, RBind)
 
 
 def is_pseudo_acyclic(p: SercqAst) -> bool:

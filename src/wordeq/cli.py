@@ -1,10 +1,11 @@
 """Command-line surface: check, enum, plan, pattern, convert.
 
 Exit codes: 0 success/true/results, 1 false/empty/cyclic (expected negative),
-2 usage or parse error, or parentheses nested past Python's recursion limit
-(the parser recurses on them; every walk over a parsed regex keeps its own
-stack), 3 internal invariant violation.  Diagnostics go to stderr, data to
-stdout.
+2 usage or parse error, 3 internal invariant violation.  Diagnostics go to
+stderr, data to stdout.  The parser and every walk over a parsed regex keep
+their own stacks; "error: the input nests too deeply" (exit 2) comes only
+from the brute-force oracle, whose pattern matcher recurses once per symbol,
+with u expanded into the word.
 """
 from __future__ import annotations
 

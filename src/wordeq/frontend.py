@@ -19,12 +19,13 @@ where formulas extend regexes with bindings ``x{ regex }``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
-from typing import Optional
+from typing import Iterator, Optional
 
-from .bridge import SercqAst, svars
+from .bridge import SercqAst
 from .model import (
     Alphabet,
     FcCq,
@@ -43,6 +44,7 @@ from .model import (
     Variable,
     WordEquation,
     WordeqError,
+    binding_ids,
     regex_any_of,
     regex_fold,
     regex_nodes,
@@ -77,6 +79,10 @@ class NotFunctionalError(ParseError):
     pass
 
 
+_SPACE = re.compile(r"[ \t\r\n]*")
+_WORD = re.compile(r"\w*")  # in a str pattern, \w is str.isalnum() or "_"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -96,8 +102,7 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def skip_ws(self) -> None:
-        while not self.eof() and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def try_literal(self, token: str) -> bool:
         self.skip_ws()
@@ -113,13 +118,13 @@ class _Scanner:
     def ident(self) -> tuple[str, int]:
         self.skip_ws()
         start = self.pos
-        if self.eof() or not (self.peek().isalpha() or self.peek() == "_"):
+        if not (self.peek().isalpha() or self.peek() == "_"):
             raise self.error("expected an identifier")
-        while not self.eof() and (self.peek().isalnum() or self.peek() == "_"):
-            self.pos += 1
+        self.pos = _WORD.match(self.text, start).end()
         return self.text[start:self.pos], start
 
-    def quoted(self) -> tuple[str, int]:
+    def terminals(self, alphabet: Alphabet) -> str:
+        """A quoted block of terminals, each checked against the alphabet."""
         self.skip_ws()
         start = self.pos
         self.expect("'")
@@ -127,8 +132,11 @@ class _Scanner:
         if end < 0:
             raise self.error("unterminated quoted literal", start)
         word = self.text[self.pos:end]
+        for i, ch in enumerate(word, self.pos):
+            if ch not in alphabet:
+                raise ParseError(f"symbol {ch!r} is outside the alphabet", SourceSpan(i, i + 1))
         self.pos = end + 1
-        return word, start
+        return word
 
 
 def _variable(name: str, start: int) -> Variable:
@@ -139,120 +147,114 @@ def _variable(name: str, start: int) -> Variable:
     return Variable(name)
 
 
-def _check_terminals(word: str, alphabet: Alphabet, start: int) -> None:
-    for i, ch in enumerate(word):
-        if ch not in alphabet:
-            raise ParseError(f"symbol {ch!r} is outside the alphabet",
-                             SourceSpan(start + i, start + i + 1))
+def _names(sc: _Scanner, opener: str, closer: str) -> Iterator[tuple[str, int]]:
+    """The identifiers, with their starts, of a bracketed comma-separated list."""
+    sc.expect(opener)
+    sc.skip_ws()
+    if sc.peek() != closer:
+        while True:
+            yield sc.ident()
+            if not sc.try_literal(","):
+                break
+    sc.expect(closer)
+
+
+def _at_join_keyword(sc: _Scanner) -> bool:
+    """Whether the scanner stands at the word 'join', which separates .sercq
+    formulas."""
+    text, pos = sc.text, sc.pos
+    if not text.startswith("join", pos):
+        return False
+    after = text[pos + 4:pos + 5]
+    before = text[pos - 1] if pos > 0 else ""
+    return not after.isalnum() and not before.isalnum()
 
 
 # --- regexes -----------------------------------------------------------------
 
-_REGEX_STOP = set("|)}/")
+_NOT_AN_ATOM = set("|)}/*+.")
 
 
-class _RegexParser:
-    def __init__(self, sc: _Scanner, alphabet: Alphabet, allow_bindings: bool):
-        self.sc = sc
-        self.alphabet = alphabet
-        self.allow_bindings = allow_bindings
+def _parse_regex(sc: _Scanner, alphabet: Alphabet, allow_bindings: bool) -> RegexAst:
+    """Read a union of concatenations of postfixed atoms, up to the first
+    character that cannot continue it.
 
-    def parse_union(self) -> RegexAst:
-        node = self.parse_concat()
-        while self.sc.try_literal("|"):
-            node = RUnion(node, self.parse_concat())
-        return node
-
-    def _at_atom(self) -> bool:
-        self.sc.skip_ws()
-        ch = self.sc.peek()
-        return bool(ch) and ch not in _REGEX_STOP and ch not in "*+."
-
-    def parse_concat(self) -> RegexAst:
-        node: Optional[RegexAst] = None
-        while True:
-            self.sc.skip_ws()
-            if self.sc.peek() == ".":
-                self.sc.pos += 1
-                continue
-            if not self._at_atom():
-                break
-            if self._at_join_keyword():
-                break
-            piece = self.parse_repeat()
-            node = piece if node is None else RConcat(node, piece)
-        if node is None:
-            raise self.sc.error("expected a regex")
-        return node
-
-    def _at_join_keyword(self) -> bool:
-        # 'join' is a keyword only in .sercq formula position.
-        if not self.allow_bindings:
-            return False
-        sc = self.sc
-        if not sc.text.startswith("join", sc.pos):
-            return False
-        end = sc.pos + 4
-        after = sc.text[end] if end < len(sc.text) else ""
-        before = sc.text[sc.pos - 1] if sc.pos > 0 else ""
-        return (not after.isalnum()) and (not before.isalnum())
-
-    def parse_repeat(self) -> RegexAst:
-        node = self.parse_atom()
-        while True:
-            self.sc.skip_ws()
-            if self.sc.peek() == "*":
-                self.sc.pos += 1
-                node = RStar(node)
-            elif self.sc.peek() == "+":
-                self.sc.pos += 1
-                node = RConcat(node, RStar(node))
-            else:
-                return node
-
-    def parse_atom(self) -> RegexAst:
-        sc = self.sc
+    One loop with a stack of the groups left open: a parenthesis, or a
+    binding ``x{``, with the union read so far around it and the
+    concatenation it is part of.  A letter's identifier run is scanned once,
+    to see whether a ``{`` follows; the letters after it in the run are then
+    known to be plain.
+    """
+    text = sc.text
+    groups: list[tuple[str, Optional[Variable], Optional[RegexAst], Optional[RegexAst]]] = []
+    union: Optional[RegexAst] = None    # the alternatives read so far, in this group
+    concat: Optional[RegexAst] = None   # the alternative being read
+    plain_until = 0
+    while True:
         sc.skip_ws()
         start = sc.pos
-        ch = sc.peek()
-        if ch == "#":
+        ch = text[start:start + 1]
+        if ch == ".":
             sc.pos += 1
-            return REmpty()
-        if ch == "'":
-            word, qstart = sc.quoted()
-            _check_terminals(word, self.alphabet, qstart + 1)
-            return regex_word(word)
-        if ch == "(":
+            continue
+        if ch and ch not in _NOT_AN_ATOM and not (allow_bindings and _at_join_keyword(sc)):
+            group = None
+            if ch == "(":
+                group, sc.pos = (")", None), start + 1
+            elif ch.isalpha() and ch != "S" and start >= plain_until:
+                plain_until = _WORD.match(text, start).end()
+                if text.startswith("{", plain_until):
+                    if not allow_bindings:
+                        raise ParseError("variable bindings are not allowed here",
+                                         SourceSpan(start, plain_until + 1))
+                    group = ("}", _variable(text[start:plain_until], start))
+                    sc.pos = plain_until + 1
+            if group:
+                groups.append((*group, union, concat))
+                union = concat = None
+                continue
+            if ch == "#":
+                sc.pos += 1
+                node: RegexAst = REmpty()
+            elif ch == "'":
+                node = regex_word(sc.terminals(alphabet))
+            elif ch == "S":
+                sc.pos += 1
+                node = regex_any_of(alphabet.symbols)
+            elif ch in alphabet:
+                sc.pos += 1
+                node = RLit(ch)
+            else:
+                raise sc.error(f"unexpected character {ch!r} in regex")
+        else:
+            if concat is None:
+                raise sc.error("expected a regex")
+            union = concat if union is None else RUnion(union, concat)
+            concat = None
+            if sc.try_literal("|"):
+                continue
+            if not groups:
+                return union
+            closer, var, outer, concat = groups.pop()
+            sc.expect(closer)
+            node = union if var is None else RBind(var, union)
+            union = outer
+        while True:
+            sc.skip_ws()
+            ch = sc.peek()
+            if ch == "*":
+                node = RStar(node)
+            elif ch == "+":
+                node = RConcat(node, RStar(node))
+            else:
+                break
             sc.pos += 1
-            node = self.parse_union()
-            sc.expect(")")
-            return node
-        if ch == "S":
-            sc.pos += 1
-            return regex_any_of(self.alphabet.symbols)
-        if ch.isalpha():
-            # Either a binding "x1{...}" or a plain literal character.
-            save = sc.pos
-            name, istart = sc.ident()
-            if sc.peek() == "{" and len(name) >= 1 and name[0].isalpha():
-                if not self.allow_bindings:
-                    raise sc.error("variable bindings are not allowed here", istart)
-                var = _variable(name, istart)
-                sc.expect("{")
-                inner = self.parse_union()
-                sc.expect("}")
-                return RBind(var, inner)
-            sc.pos = save
-        if ch and ch in self.alphabet:
-            sc.pos += 1
-            return RLit(ch)
-        raise sc.error(f"unexpected character {ch!r} in regex" if ch else "unexpected end of regex",
-                       start)
+        concat = node if concat is None else RConcat(concat, node)
 
 
 def parse_regex(text: str, alphabet: Alphabet, allow_bindings: bool = False) -> RegexAst:
     sc = _Scanner(text)
-    node = _RegexParser(sc, alphabet, allow_bindings).parse_union()
+    node = _parse_regex(sc, alphabet, allow_bindings)
     sc.skip_ws()
     if not sc.eof():
         raise sc.error("trailing input after regex")
@@ -267,9 +269,7 @@ def _parse_concat(sc: _Scanner, alphabet: Alphabet) -> Pattern:
     while True:
         sc.skip_ws()
         if sc.peek() == "'":
-            word, qstart = sc.quoted()
-            _check_terminals(word, alphabet, qstart + 1)
-            items.extend(word)
+            items.extend(sc.terminals(alphabet))
         else:
             name, start = sc.ident()
             items.append(_variable(name, start))
@@ -285,20 +285,13 @@ def parse_query(text: str, alphabet: Alphabet) -> FcCq:
     kw, kstart = sc.ident()
     if kw != "ans":
         raise ParseError("queries start with 'ans'", SourceSpan(kstart, kstart + len(kw)))
-    sc.expect("(")
     head: list[Variable] = []
-    sc.skip_ws()
-    if sc.peek() != ")":
-        while True:
-            name, start = sc.ident()
-            v = _variable(name, start)
-            if v.is_universe:
-                raise ParseError("the universe variable cannot be in the head",
-                                 SourceSpan(start, start + len(name)))
-            head.append(v)
-            if not sc.try_literal(","):
-                break
-    sc.expect(")")
+    for name, start in _names(sc, "(", ")"):
+        v = _variable(name, start)
+        if v.is_universe:
+            raise ParseError("the universe variable cannot be in the head",
+                             SourceSpan(start, start + len(name)))
+        head.append(v)
     sc.expect(":-")
 
     equations: list[WordEquation] = []
@@ -314,7 +307,7 @@ def parse_query(text: str, alphabet: Alphabet) -> FcCq:
             if kw2 != "in":
                 raise ParseError("expected '=' or 'in'", SourceSpan(k2start, k2start + len(kw2)))
             sc.expect("/")
-            regex = _RegexParser(sc, alphabet, allow_bindings=False).parse_union()
+            regex = _parse_regex(sc, alphabet, allow_bindings=False)
             sc.expect("/")
             constraints.append(RegularConstraint(var, regex))
         if not sc.try_literal(","):
@@ -345,9 +338,7 @@ def parse_pattern_literal(text: str, alphabet: Alphabet) -> Pattern:
         if sc.eof():
             break
         if sc.peek() == "'":
-            word, qstart = sc.quoted()
-            _check_terminals(word, alphabet, qstart + 1)
-            items.extend(word)
+            items.extend(sc.terminals(alphabet))
             continue
         start = sc.pos
         ch = sc.peek()
@@ -369,11 +360,12 @@ def parse_pattern_literal(text: str, alphabet: Alphabet) -> Pattern:
 
 def _validate_formula(formula: RegexAst, text_span: SourceSpan) -> None:
     """Reject bindings under a union or a star, and variables bound twice."""
+    binding = binding_ids(formula)
     bound: set[Variable] = set()
     for node in regex_nodes(formula, (RConcat, RBind)):
-        if isinstance(node, RUnion) and svars(node):
+        if isinstance(node, RUnion) and id(node) in binding:
             raise NotSynchronizedError("variable binding under a union", text_span)
-        if isinstance(node, RStar) and svars(node):
+        if isinstance(node, RStar) and id(node) in binding:
             raise NotFunctionalError("variable binding under a star", text_span)
         if isinstance(node, RBind):
             if node.var in bound:
@@ -386,16 +378,7 @@ def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
     """Parse the .sercq syntax into a spanner expression."""
     sc = _Scanner(text)
     sc.expect("pi")
-    sc.expect("{")
-    projection: list[Variable] = []
-    sc.skip_ws()
-    if sc.peek() != "}":
-        while True:
-            name, start = sc.ident()
-            projection.append(_variable(name, start))
-            if not sc.try_literal(","):
-                break
-    sc.expect("}")
+    projection = [_variable(name, start) for name, start in _names(sc, "{", "}")]
 
     equalities: list[tuple[Variable, Variable]] = []
     while True:
@@ -414,14 +397,13 @@ def parse_sercq(text: str, alphabet: Alphabet) -> SercqAst:
     formulas: list[RegexAst] = []
     while True:
         fstart = sc.pos
-        formula = _RegexParser(sc, alphabet, allow_bindings=True).parse_union()
+        formula = _parse_regex(sc, alphabet, allow_bindings=True)
         _validate_formula(formula, SourceSpan(fstart, sc.pos))
         formulas.append(formula)
         sc.skip_ws()
-        if sc.text.startswith("join", sc.pos):
-            sc.pos += 4
-            continue
-        break
+        if not _at_join_keyword(sc):
+            break
+        sc.pos += 4
     sc.expect(")")
     sc.skip_ws()
     if not sc.eof():

@@ -259,6 +259,34 @@ def regex_fold(root: RegexAst, combine: Callable[[RegexAst, list[T]], T], share:
     return values[0]
 
 
+def svars(ast: RegexAst) -> set[Variable]:
+    """Spanner variables bound anywhere inside a regex formula."""
+    return regex_fold(ast, _bound_in, share=True)
+
+
+def _bound_in(node: RegexAst, operands: list[set[Variable]]) -> set[Variable]:
+    """The variables bound in a node, given those bound in its operands."""
+    out = set().union(*operands)
+    if isinstance(node, RBind):
+        out.add(node.var)
+    return out
+
+
+def binding_ids(ast: RegexAst) -> set[int]:
+    """The ids of the node objects in a regex formula that bind a variable,
+    themselves or in an operand."""
+    ids: set[int] = set()
+
+    def binds(node: RegexAst, operands: list[bool]) -> bool:
+        if isinstance(node, RBind) or any(operands):
+            ids.add(id(node))
+            return True
+        return False
+
+    regex_fold(ast, binds, share=True)
+    return ids
+
+
 def _repr_node(node: RegexAst, operands: list[str]) -> str:
     """The dataclass repr of a node, given its operands' reprs."""
     shown = iter(operands)

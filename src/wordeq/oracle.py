@@ -30,7 +30,7 @@ from .model import (
     gyo,
     is_terminal_free,
     regex_fold,
-    regex_nodes,
+    svars,
     vars_of,
 )
 from .nfa import thompson
@@ -238,17 +238,13 @@ def _marker_ast(node: RegexAst, operands: list[RegexAst]) -> RegexAst:
     return type(node)(*operands) if operands else node
 
 
-def _formula_svars(ast: RegexAst) -> set[Variable]:
-    return {node.var for node in regex_nodes(ast) if isinstance(node, RBind)}
-
-
 SpanTuple = dict[Variable, tuple[int, int]]
 
 
 def formula_span_tuples(formula: RegexAst, w: str) -> list[SpanTuple]:
     """Ref-word semantics of one formula: insert markers into w in every valid
     interleaving and keep those the marker NFA accepts."""
-    variables = sorted(_formula_svars(formula), key=lambda v: v.name)
+    variables = sorted(svars(formula), key=lambda v: v.name)
     nfa = thompson(regex_fold(formula, _marker_ast))
     results: list[SpanTuple] = []
     seen: set[tuple] = set()
@@ -299,7 +295,7 @@ def brute_sercq_evaluate(p, w: str) -> set[tuple[tuple[str, int, int], ...]]:
     for formula in reversed(p.formulas):
         keep_after.append(set(p.projection) | later
                           | {x for a, b in p.equalities if a in later or b in later for x in (a, b)})
-        later = later | _formula_svars(formula)
+        later = later | svars(formula)
     keep_after.reverse()
     kept: list[SpanTuple] = [{}]
     for formula, keep in zip(p.formulas, keep_after):

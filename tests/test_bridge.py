@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 
 import pytest
@@ -14,9 +15,10 @@ from wordeq.bridge import (
     sercq_to_fccq,
 )
 from wordeq.evaluator import enumerate_results
-from wordeq.frontend import parse_query, parse_regex, parse_sercq, print_query
+from wordeq.frontend import parse_query, parse_regex, parse_sercq, print_query, print_sercq
+from wordeq import model
 from wordeq.index import build_index
-from wordeq.model import CyclicQueryError, NotPseudoAcyclicError
+from wordeq.model import CyclicQueryError, NotPseudoAcyclicError, RBind, RConcat, RStar, RUnion
 from wordeq.oracle import brute_evaluate, brute_sercq_evaluate
 from wordeq.planner import plan
 
@@ -193,6 +195,54 @@ def random_sercq(rng: random.Random, pseudo: bool = False) -> SercqAst:
     proj = tuple(sorted(rng.sample(bound, rng.randint(0, min(2, len(bound)))),
                         key=lambda q: q.name))
     return SercqAst(proj, tuple(eqs), tuple(formulas))
+
+
+class TestRealizationDigest:
+    # sha256 of the realizations below as built through the parse-tree layer
+    # that the one-walk realization replaced.
+    DIGEST = "fbd390e1804d87d35ead22a014f59b76f83964fb37757f5a1b56c354aaf706ea"
+
+    def test_golden_digest(self):
+        rng = random.Random(27)
+        lines = []
+        sercqs = [random_sercq(rng, pseudo=k % 2 == 1) for k in range(600)]
+        sercqs += [fccq_to_sercq(random_fccq_wide(rng), AB) for _ in range(400)]
+        # Operand objects that recur: a binding twice, a shared variable-free
+        # piece around it, X+ around a binding, and a binding under a union.
+        x, y = RBind(v("x"), formula("S*")), RBind(v("y"), formula("'ab'"))
+        sigma = formula("S*")
+        for f in (RConcat(x, x), RConcat(RConcat(sigma, y), RConcat(sigma, sigma)),
+                  RConcat(y, RStar(y)), RConcat(RUnion(x, sigma), y), RConcat(sigma, sigma)):
+            sercqs.append(SercqAst((v("y"),), (), (f, RConcat(sigma, y))))
+        for s in sercqs:
+            lines.append(print_sercq(s, AB))
+            for realize in (sercq_to_fccq, pseudo_acyclic_to_acyclic_fccq):
+                try:
+                    lines.append(print_query(realize(s)))
+                except (ValueError, NotPseudoAcyclicError) as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+
+
+class TestSharedOperands:
+    def test_each_operand_read_once(self, monkeypatch):
+        # The parser builds X+ as X.X* around one X object, so "a" and 12
+        # pluses unfold to a tree of 2^12 leaves; every walk over the formula
+        # reads each object's operands once.
+        text = "pi{x} ( x{'a'}.a" + "+" * 12 + " )"
+        calls = 0
+        operands = model._operands
+
+        def counted(node):
+            nonlocal calls
+            calls += 1
+            return operands(node)
+
+        monkeypatch.setattr(model, "_operands", counted)
+        p = parse_sercq(text, AB)
+        sercq_to_fccq(p)
+        pseudo_acyclic_to_acyclic_fccq(p)
+        assert calls < 20 * len(text)
 
 
 def spanner_words(s: SercqAst, head, w: str) -> set[tuple[str, ...]]:

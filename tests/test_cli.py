@@ -12,8 +12,8 @@ from conftest import AB, all_words, random_fccq_wide
 from wordeq import cli
 from wordeq.cli import main
 from wordeq.evaluator import enumerate_results
-from wordeq.frontend import parse_query, parse_sercq, print_query
-from wordeq.model import CyclicQueryError, UNIVERSE, Variable, default_alphabet
+from wordeq.frontend import parse_query, parse_regex, parse_sercq, print_query
+from wordeq.model import CyclicQueryError, RLit, UNIVERSE, Variable, default_alphabet
 from wordeq.oracle import brute_evaluate
 from wordeq.planner import plan
 
@@ -304,7 +304,8 @@ class TestPlanCommand:
 
 class TestLongLiteral:
     """A 1200-letter terminal block: the parser nests its regex 1200 deep to
-    the left, past Python's recursion limit, and every command answers."""
+    the left, past Python's recursion limit, and every command answers.  So
+    do regexes of 5000 unquoted letters and of 3000 nested parentheses."""
 
     @pytest.fixture
     def word(self, files):
@@ -350,3 +351,17 @@ class TestLongLiteral:
         assert code == 0
         assert out == (f"ans(x_p,x_c) :- u = x_p.z1, z1 = x_c.x_s, x_p in /''/, "
                        f"x_c in /{w[:1200]}/, x_s in /S*/\n")
+
+    def test_unquoted_letters(self):
+        rng = random.Random(0)
+        letters = "".join(rng.choice("ab") for _ in range(5000))
+        assert repr(parse_regex(letters, AB)) == repr(parse_regex(f"'{letters}'", AB))
+        assert parse_regex("(" * 5000 + "a" + ")" * 5000, AB) == RLit("a")
+
+    def test_deep_parentheses(self, files, capsys):
+        deep = "(" * 3000 + "a" + ")" * 3000
+        code, out, _ = run(capsys, "plan", files("q.fcq", f"ans(x) :- x in /{deep}/"))
+        assert code == 0 and out.startswith("normalized query:\n")
+        deep = "(" * 3000 + "x{'a'}" + ")" * 3000
+        code, out, _ = run(capsys, "convert", "sercq2fc", files("q.sercq", f"pi{{x}} ( {deep}.S* )"))
+        assert code == 0 and out.startswith("ans(x_p,x_c) :- u = v1, ")

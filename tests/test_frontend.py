@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import v
+from conftest import random_fccq_wide, v
 from wordeq.bridge import svars
 from wordeq.frontend import (
     NotFunctionalError,
@@ -246,6 +247,49 @@ class TestRegexWalks:
         # object once.
         text = "a" + "+" * 40
         assert print_regex(parse_regex(text, ALPHA)) == "(" * 39 + "a" + "+)" * 39 + "+"
+
+
+def parse_outcome(parse, text: str) -> str:
+    """The AST's repr, or the parse error's class, message and span."""
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return f"{type(exc).__name__}: {exc.message} {exc.span.start} {exc.span.end}"
+
+
+def perturbed(rng: random.Random, text: str) -> list[str]:
+    """The text, with one seeded character deleted, and with one inserted."""
+    i, j = rng.randrange(len(text)), rng.randrange(len(text) + 1)
+    return [text, text[:i] + text[i + 1:], text[:j] + rng.choice(" ab.d(|)*+{}'#Sx_1/,") + text[j:]]
+
+
+class TestParseOutcomes:
+    # sha256 of the outcomes below as read by the recursive-descent parser
+    # that the one-loop parser replaced.
+    DIGEST = "e728dc7dcfa015cb306443a05c4129619765d383acf28f2cd50b2d083b166ae9"
+
+    def test_golden_digest(self):
+        rng = random.Random(27)
+        lines = []
+        for k in range(600):
+            r = random_regex(rng, rng.randrange(1, 7), k % 2 == 0)
+            for text in (print_regex(r), print_regex(r, ABC), print_regex(r, ABC, True)):
+                for t in perturbed(rng, text):
+                    lines.append(parse_outcome(partial(parse_regex, alphabet=ABC), t))
+                    lines.append(parse_outcome(
+                        partial(parse_regex, alphabet=ABC, allow_bindings=True), t))
+        for _ in range(300):
+            formulas = [random_regex(rng, 3, True) for _ in range(rng.randrange(1, 3))]
+            names = sorted(x.name for f in formulas for x in svars(f))
+            text = " ".join([f"pi{{{', '.join(names)}}}"] + [f"eq{{{a},{b}}}" for a, b in
+                                                             zip(names, names[1:])])
+            text += " ( " + " join ".join(print_regex(f, ABC, True) for f in formulas) + " )"
+            for t in perturbed(rng, text):
+                lines.append(parse_outcome(partial(parse_sercq, alphabet=ABC), t))
+        for _ in range(300):
+            for t in perturbed(rng, print_query(random_fccq_wide(rng), ABC)):
+                lines.append(parse_outcome(partial(parse_query, alphabet=ABC), t))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
 
 class TestParseSercq:
