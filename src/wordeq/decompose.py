@@ -424,9 +424,8 @@ def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars, ivs: _Int
     Nodes spanning equal factors share one introduced variable, named in
     pre-order; of the nodes carrying one label only the deepest, leftmost
     keeps its children, and the equations are read off innermost first.
+    ``b`` is a node: a single leaf is an atom already.
     """
-    if isinstance(b, BLeaf):
-        return TwoFcCq(head=(), equations=(SmallEquation(root, (b.var,)),), introduced=frozenset())
     # Pre-order: leaves come left to right, so a node starts at the next
     # leaf and ends where its last child ends.
     labels: list[Variable] = []
@@ -504,8 +503,6 @@ def _constrained_search(p: Pattern, pairs: Iterable[frozenset[Variable]]
     if not pat:
         return None
     ivs = _Intervals(pat)
-    if len(pat) == 1:
-        return (BLeaf(pat[0]), ivs) if not pair_set else None
     partner: Optional[list[int]] = None
     if pair_set:
         code = dict(zip(pat, ivs.codes))
@@ -523,11 +520,14 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
                                     fresh: Optional[FreshVars] = None) -> Optional[TwoFcCq]:
     """Acyclic decomposition of one equation with an atom covering each pair.
 
-    Pairs involving the left-hand side must be covered by the root atom; that
-    forces the right side into the shape y..y core y..y with the core free of
-    y (or, for two such pairs, a verbatim length-2 atom).  Remaining pairs
-    need their variables adjacent somewhere and go to the constrained
-    bracketing search.
+    The one place that turns a right side into its decomposition.  A right
+    side of one or two symbols is an atom already: the equation itself,
+    which covers every pair of its variables, with nothing introduced.  On a
+    longer one, pairs involving the left-hand side must be covered by the
+    root atom; that forces the right side into the shape y..y core y..y with
+    the core free of y, and rules out two such pairs.  Remaining pairs need
+    their variables adjacent somewhere and go to the constrained bracketing
+    search.
     """
     pat = _require_terminal_free(eq.rhs)
     if eq.lhs in vars_of(eq.rhs):
@@ -536,6 +536,8 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
     for c in pair_set:
         if not c <= eq.variables() or len(c) != 2:
             return None
+    if 0 < len(pat) <= 2:
+        return TwoFcCq(head=(), equations=(SmallEquation(eq.lhs, tuple(pat)),), introduced=frozenset())
     if fresh is None:
         fresh = FreshVars(v.name for v in eq.variables())
 
@@ -544,12 +546,8 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
     rhs_pairs = {c for c in pair_set if eq.lhs not in c}
 
     if len(partners) >= 2:
-        # The root atom is the only one containing the left side, and it has
-        # two right slots: both partners must be exactly the right side,
-        # which stays verbatim.
-        if len(pat) == 2 and set(pat) == set(partners):
-            return TwoFcCq(head=(), equations=(SmallEquation(eq.lhs, tuple(pat)),),
-                           introduced=frozenset())
+        # The root atom is the only one containing the left side, and its two
+        # right slots cannot both be partners of a longer right side.
         return None
 
     if not partners:
@@ -571,6 +569,7 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
 
     y_pairs = {c for c in rhs_pairs if y in c}
     inner: Optional[Bracketing]
+    prefix, suffix = i, j
     if y_pairs:
         # y also needs a leaf partner; only a single-variable core can sit
         # next to the nested run of y's.
@@ -579,20 +578,16 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
         if rhs_pairs - y_pairs:
             return None
         inner = BLeaf(core[0])
-        prefix, suffix = i, j
     elif core:
         inner = constrained_acyclic_bracketing(core, rhs_pairs)
         if inner is None:
             return None
-        prefix, suffix = i, j
     else:
+        # The right side is y^i (so j = 0): its last y is the innermost leaf.
         if rhs_pairs:
             return None
         inner = BLeaf(y)
-        if i > 0:
-            prefix, suffix = i - 1, j
-        else:
-            prefix, suffix = 0, j - 1
+        prefix -= 1
     node: Bracketing = inner
     for _ in range(prefix):
         node = BNode((BLeaf(y), node))
@@ -666,14 +661,15 @@ def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
 
     Sufficient but not necessary for k-ary acyclicity when k exceeds 2: some
     acyclic k-ary decompositions are not localized.  At k = 2 localization
-    is acyclicity, and the binary search answers.
+    is acyclicity, and the binary search answers; it also answers for one
+    or two symbols, which are an atom already.
     """
     if k < 2:
         raise ValueError("arity must be at least 2")
     pat = _require_terminal_free(p)
     if not pat:
         raise ValueError("the empty pattern has no bracketing")
-    if k == 2:
+    if k == 2 or len(pat) <= 2:
         return find_acyclic_decomposition(pat, root, fresh)
     if fresh is None:
         fresh = FreshVars(v.name for v in vars_of(p) | {root})
@@ -691,10 +687,9 @@ def _derive_kary(deriv: _KaryDerivation, f: int) -> Optional[Bracketing]:
 
     A frame per (factor, forced tuple) being derived holds its remaining
     choices, the current one and the children derived for it; a finished
-    frame leaves its result in the memo, where its parent finds it."""
+    frame leaves its result in the memo, where its parent finds it.  ``f``
+    spans more than one symbol."""
     leaves = deriv.leaves
-    if f in leaves:
-        return BLeaf(leaves[f])
 
     def choices(g: int, forced: Optional[tuple[int, ...]]):
         for comp in (forced,) if forced is not None else deriv.tuples[g]:

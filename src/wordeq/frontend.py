@@ -448,8 +448,11 @@ def _printed(sigma: Optional[RegexAst], quote_literals: bool, node: RegexAst,
         return f"{left}|({right})" if isinstance(node.right, RUnion) else f"{left}|{right}", 1
     if isinstance(node, RConcat):
         left, right = operands
-        if isinstance(node.right, RStar) and node.right.inner == node.left:
-            return _tight(left, 3) + "+", 2  # X.X* prints as X+, as the parser reads it
+        # X.X* prints as X+, as the parser reads it.  The printer is
+        # injective, so equal texts mean equal trees, and comparing texts
+        # does not recurse as a comparison of trees would.
+        if isinstance(node.right, RStar) and right[0] == _tight(left, 3) + "*":
+            return _tight(left, 3) + "+", 2
         return _tight(left, 2) + ("." if quote_literals else "") + _tight(right, 3), 2
     if isinstance(node, RStar):
         return _tight(operands[0], 3) + "*", 3

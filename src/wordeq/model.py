@@ -452,16 +452,21 @@ class TwoFcCq:
         if len(root_eqs) != 1:
             raise ValueError(f"expected exactly one root equation for {root}")
 
-        def grow(v: Variable) -> Iterator[Variable]:
-            if v in defs:
-                for w in defs[v].rhs:
-                    yield from grow(w)
-            else:
-                yield v
-
+        # Definitions nest as deep as a pattern is long, so the open right
+        # sides are kept on an explicit stack.  With every definition open,
+        # one more would repeat one: a variable defined in terms of itself.
         out: list[Variable] = []
-        for v in root_eqs[0].rhs:
-            out.extend(grow(v))
+        todo = [iter(root_eqs[0].rhs)]
+        while todo:
+            v = next(todo[-1], None)
+            if v is None:
+                todo.pop()
+            elif v in defs:
+                if len(todo) > len(defs):
+                    raise ValueError(f"{v} is defined in terms of itself")
+                todo.append(iter(defs[v].rhs))
+            else:
+                out.append(v)
         return tuple(out)
 
 

@@ -15,7 +15,6 @@ from .model import (
     Pattern,
     REpsilon,
     RegularConstraint,
-    SmallEquation,
     TwoFcCq,
     UNIVERSE,
     Variable,
@@ -250,20 +249,18 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
     # One search per atom finds its decomposition and decides rule 2: a
     # decomposition proves the right side acyclic, and pairs only narrow the
     # search, so a failed search without pairs proves it cyclic.  An atom
-    # sharing three variables stays verbatim; rule 4 bounds its size.
+    # sharing three variables with a neighbour must stay whole.  One or two
+    # symbols long, it comes back from the search as it is; any longer, rule
+    # 4 has set ``reason``, raised after the loop unless rule 2 is raised
+    # first.
     decomposed: list[TwoFcCq] = []
     stuck: Optional[str] = None
     for i, eq in enumerate(eqs):
         pairs = {l for l in incident[i] if len(l) == 2}
-        verbatim = any(len(l) == 3 for l in incident[i])
-        if verbatim:
-            psi = TwoFcCq(head=(), equations=(SmallEquation(eq.lhs, eq.rhs),),
-                          introduced=frozenset()) if len(eq.rhs) <= 2 else None
-        else:
-            psi = decompose_atom_with_constraints(eq, pairs, fresh)
+        psi = decompose_atom_with_constraints(eq, pairs, fresh)
         if psi is not None:
             decomposed.append(psi)
-        elif not (pairs or verbatim) or not is_acyclic_pattern(eq.rhs):
+        elif not pairs or not is_acyclic_pattern(eq.rhs):
             raise CyclicQueryError(
                 "precheck", f"rule 2: right side of {eq.lhs} = {_shown(eq.rhs)} is a cyclic pattern")
         elif stuck is None:

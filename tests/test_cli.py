@@ -305,7 +305,8 @@ class TestPlanCommand:
 class TestLongLiteral:
     """A 1200-letter terminal block: the parser nests its regex 1200 deep to
     the left, past Python's recursion limit, and every command answers.  So
-    do regexes of 5000 unquoted letters and of 3000 nested parentheses."""
+    do regexes of 5000 unquoted letters, of 3000 nested parentheses and of a
+    1200-letter X.X*."""
 
     @pytest.fixture
     def word(self, files):
@@ -343,6 +344,15 @@ class TestLongLiteral:
         code, out, _ = run(capsys, "convert", "sercq2fc", files("q.sercq", sercq))
         assert code == 0
         assert parse_query(out, default_alphabet()).head == (Variable("x_p"), Variable("x_c"))
+
+    def test_convert_deep_plus(self, files, capsys, word):
+        # B.B* prints as B+; the two copies of B are parsed apart, and
+        # telling them equal must not recurse 1200 deep.
+        w, _ = word
+        q = files("q.fcq", f"ans(x) :- x in /({w[:1200]})({w[:1200]})*/")
+        code, sercq, _ = run(capsys, "convert", "fc2sercq", q)
+        assert code == 0 and sercq.endswith(")+}.S* )\n")
+        assert len(parse_sercq(sercq.strip(), default_alphabet()).formulas) == 1
 
     def test_pseudo_acyclic_convert(self, files, capsys, word):
         w, _ = word

@@ -520,6 +520,20 @@ class TestAtomDecomposition:
         two = decompose_atom_with_constraints(eq, [])
         assert two is not None and len(two.equations) == 1
 
+    def test_short_right_sides_stay_verbatim(self):
+        # The one bracketing of a one- or two-symbol right side, under any
+        # pairs of the equation's variables.
+        xy = pat("x y")
+        for lhs in (v("z"), UNIVERSE):
+            for rhs in [*itertools.product(xy, repeat=1), *itertools.product(xy, repeat=2)]:
+                eq = WordEquation(lhs, rhs)
+                (b,) = all_bracketings(rhs)
+                want = decompose_bracketing(b, lhs)
+                pairs = [frozenset(c) for c in itertools.combinations(sorted(eq.variables(), key=str), 2)]
+                for r in range(len(pairs) + 1):
+                    for chosen in itertools.combinations(pairs, r):
+                        assert decompose_atom_with_constraints(eq, chosen) == want, (eq, chosen)
+
     def test_overlapping_pairs_impossible(self):
         eq = WordEquation(v("z"), pat("x1 x2 x3"))
         pairs = [frozenset({v("x1"), v("x2")}), frozenset({v("x1"), v("x3")})]

@@ -11,6 +11,8 @@ from wordeq.model import (
     Alphabet,
     CyclicQueryError,
     Pattern,
+    SmallEquation,
+    TwoFcCq,
     UNIVERSE,
     Variable,
     default_alphabet,
@@ -334,6 +336,24 @@ class TestAgainstReference:
             assert verify_join_tree(tree) == expected, tree
             verdicts[expected] += 1
         assert min(verdicts.values()) > 5_000
+
+
+class TestExpand:
+    def test_deeper_than_the_recursion_limit(self):
+        # z0 = x0.z1, z1 = x1.z2, ...: each definition opens inside the last.
+        n = 3000
+        xs = [Variable(f"x{k}") for k in range(n + 1)]
+        zs = [Variable(f"z{k}") for k in range(n)] + [xs[n]]
+        two = TwoFcCq(head=(), equations=tuple(SmallEquation(zs[k], (xs[k], zs[k + 1])) for k in range(n)),
+                      introduced=frozenset(zs[1:n]))
+        assert two.expand(zs[0]) == tuple(xs)
+
+    def test_self_definition_rejected(self):
+        z, y, x = Variable("z"), Variable("y"), Variable("x")
+        two = TwoFcCq(head=(), equations=(SmallEquation(y, (x, y)), SmallEquation(z, (y,))),
+                      introduced=frozenset({y}))
+        with pytest.raises(ValueError, match="defined in terms of itself"):
+            two.expand(z)
 
 
 class TestAlphabet:

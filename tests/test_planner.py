@@ -253,6 +253,17 @@ class TestPrechecks:
             plan(parse_query(f"ans() :- {text}", AB))
         assert exc.value.stage == stage and exc.value.detail.startswith(rule)
 
+    def test_atoms_sharing_three_variables_stay_whole(self):
+        p = plan(parse_query("ans() :- z = x.y, z = y.x", AB))
+        assert [repr(n) for n in p.tree.nodes] == ["z = x.y", "z = y.x"]
+        assert p.tree.edges == ((0, 1),)
+
+    def test_rule4_longer_atom_sharing_three_variables(self):
+        with pytest.raises(CyclicQueryError) as exc:
+            plan(parse_query("ans() :- z = x.y.x.y, z = y.x", AB))
+        assert exc.value.stage == "precheck"
+        assert exc.value.detail == "rule 4: atoms 0 and 1 share 3 variables but one is longer than an atom"
+
     def test_one_search_per_atom(self, monkeypatch):
         import wordeq.decompose as decompose
         calls = []
