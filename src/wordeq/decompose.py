@@ -8,7 +8,7 @@ that graph yields the decomposition itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .index import longest_previous_factors
@@ -39,21 +39,13 @@ def terminal_free_core(p: Pattern, fresh: Optional[FreshVars] = None) -> tuple[P
         fresh = FreshVars(v.name for v in vars_of(p))
     core: list[Variable] = []
     blocks: dict[Variable, str] = {}
-    run: list[str] = []
-    for item in p:
-        if isinstance(item, Variable):
-            if run:
-                z = fresh.fresh("t")
-                blocks[z] = "".join(run)
-                core.append(z)
-                run = []
-            core.append(item)
+    for is_var, run in groupby(p, lambda item: isinstance(item, Variable)):
+        if is_var:
+            core.extend(run)
         else:
-            run.append(item)
-    if run:
-        z = fresh.fresh("t")
-        blocks[z] = "".join(run)
-        core.append(z)
+            z = fresh.fresh("t")
+            blocks[z] = "".join(run)
+            core.append(z)
     return tuple(core), blocks
 
 
@@ -418,7 +410,7 @@ def _expanded(labels: Sequence[Variable], children: Sequence[Sequence[int]]) -> 
     return sorted(keep, key=lambda v: (-depth[v], v))
 
 
-def _decomposition_of(b: Bracketing, root: Variable, fresh: FreshVars, ivs: _Intervals) -> TwoFcCq:
+def _decomposition_of(b: Bracketing, ivs: _Intervals, root: Variable, fresh: FreshVars) -> TwoFcCq:
     """The decomposition of a bracketing that a search found in ``ivs``.
 
     Nodes spanning equal factors share one introduced variable, named in
@@ -541,8 +533,7 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
     if fresh is None:
         fresh = FreshVars(v.name for v in eq.variables())
 
-    partners = sorted({x for c in pair_set if eq.lhs in c for x in c if x != eq.lhs},
-                      key=lambda x: x.name)
+    partners = {x for c in pair_set if eq.lhs in c for x in c if x != eq.lhs}
     rhs_pairs = {c for c in pair_set if eq.lhs not in c}
 
     if len(partners) >= 2:
@@ -552,48 +543,28 @@ def decompose_atom_with_constraints(eq: WordEquation, pairs: Iterable[frozenset[
 
     if not partners:
         found = _constrained_search(pat, rhs_pairs)
-        if found is None:
-            return None
-        b, ivs = found
-        return _decomposition_of(b, eq.lhs, fresh, ivs)
+        return None if found is None else _decomposition_of(*found, eq.lhs, fresh)
+    # Peel the leading and trailing y's off the core.  A pair of y with a
+    # right-side variable needs a leaf partner: only a one-variable core can
+    # sit next to the nested run of y's.
     (y,) = partners
-    i = 0
-    while i < len(pat) and pat[i] == y:
-        i += 1
-    j = 0
-    while j < len(pat) - i and pat[len(pat) - 1 - j] == y:
-        j += 1
-    core = pat[i:len(pat) - j]
-    if y in vars_of(core):
+    lead = next((k for k, x in enumerate(pat) if x != y), len(pat))
+    trail = next((k for k, x in enumerate(reversed(pat)) if x != y), 0)
+    core = pat[lead:len(pat) - trail]
+    if y in core or any(y in c and (len(core) != 1 or c != {y, core[0]}) for c in rhs_pairs):
         return None
-
-    y_pairs = {c for c in rhs_pairs if y in c}
-    inner: Optional[Bracketing]
-    prefix, suffix = i, j
-    if y_pairs:
-        # y also needs a leaf partner; only a single-variable core can sit
-        # next to the nested run of y's.
-        if len(core) != 1 or any(c != frozenset({y, core[0]}) for c in y_pairs):
-            return None
-        if rhs_pairs - y_pairs:
-            return None
-        inner = BLeaf(core[0])
-    elif core:
-        inner = constrained_acyclic_bracketing(core, rhs_pairs)
-        if inner is None:
-            return None
-    else:
-        # The right side is y^i (so j = 0): its last y is the innermost leaf.
-        if rhs_pairs:
-            return None
-        inner = BLeaf(y)
-        prefix -= 1
-    node: Bracketing = inner
-    for _ in range(prefix):
+    if not core:
+        # The right side is y^lead: its last y is the innermost leaf.
+        lead -= 1
+        core = (y,)
+    node = constrained_acyclic_bracketing(core, {c for c in rhs_pairs if y not in c})
+    if node is None:
+        return None
+    for _ in range(lead):
         node = BNode((BLeaf(y), node))
-    for _ in range(suffix):
+    for _ in range(trail):
         node = BNode((node, BLeaf(y)))
-    return _decomposition_of(node, eq.lhs, fresh, _Intervals(pat))
+    return _decomposition_of(node, _Intervals(pat), eq.lhs, fresh)
 
 
 # --- k-ary decompositions --------------------------------------------------------
@@ -677,7 +648,7 @@ def k_ary_local_decomposition(p: Pattern, k: int, root: Variable = UNIVERSE,
     tree = _derive_kary(_solve_kary(ivs, k), ivs.fid_of(1, ivs.n))
     if tree is None:
         return None
-    return _decomposition_of(tree, root, fresh, ivs)
+    return _decomposition_of(tree, ivs, root, fresh)
 
 
 def _derive_kary(deriv: _KaryDerivation, f: int) -> Optional[Bracketing]:

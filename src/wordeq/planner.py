@@ -280,9 +280,8 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
         sub = gyo([(e, e.variables()) for e in psi.equations])
         assert sub is not None, "per-atom decomposition lost acyclicity"
         base = len(nodes)
-        for e in psi.equations:
-            nodes.append(e)
-            node_vars.append(frozenset(v for v in e.variables() if not v.is_universe))
+        nodes += sub.nodes
+        node_vars += sub.var_sets
         edges.extend((base + a, base + b) for a, b in sub.edges)
         groups.append(tuple(range(base, len(nodes))))
 
@@ -319,7 +318,7 @@ def plan(q: FcCq, prefactor: bool = False) -> Plan:
     assert verify_join_tree(tree), "assembled tree violates the join-tree condition"
 
     small_eqs = tuple(e for psi in decomposed for e in psi.equations)
-    introduced = frozenset().union(*(psi.introduced for psi in decomposed)) if decomposed else frozenset()
+    introduced = frozenset().union(*(psi.introduced for psi in decomposed))
     query = TwoFcCq(head=nq.query.head, equations=small_eqs,
                     constraints=nq.query.constraints, introduced=introduced)
     return Plan(query=query, tree=tree, normalized=nq, weak_tree=weak, atom_groups=tuple(groups))

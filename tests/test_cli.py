@@ -11,7 +11,7 @@ import pytest
 from conftest import AB, all_words, random_fccq_wide
 from wordeq import cli
 from wordeq.cli import main
-from wordeq.evaluator import enumerate_results
+from wordeq.evaluator import enumerate_results, model_check
 from wordeq.frontend import parse_query, parse_regex, parse_sercq, print_query
 from wordeq.model import CyclicQueryError, RLit, UNIVERSE, Variable, default_alphabet
 from wordeq.oracle import brute_evaluate
@@ -90,6 +90,14 @@ class TestCheck:
         w = files("w.txt", "aab")
         code, _, _ = run(capsys, "check", q, w, "--oracle")
         assert code == 0
+
+    def test_oracle_disagreement(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "model_check", lambda p, ix: not model_check(p, ix))
+        q = files("q.fcq", "ans(x) :- u = x.y, x in /a*/")
+        w = files("w.txt", "aab")
+        code, out, err = run(capsys, "check", q, w, "--oracle")
+        assert code == 3 and out == ""
+        assert "engine disagrees with the brute-force oracle" in err
 
     @pytest.mark.parametrize("word", ["", "a", "ab", "abba", "babab"])
     def test_cycle_of_copies(self, files, capsys, word):
@@ -214,6 +222,27 @@ class TestEnum:
         w = files("w.txt", "ab")
         code, out, _ = run(capsys, "enum", q, w, "--json")
         assert code == 0 and [json.loads(l) for l in out.strip().splitlines()] == [{}]
+
+    def test_boolean_query_plain(self, files, capsys):
+        q = files("q.fcq", "ans() :- u = x.y")
+        w = files("w.txt", "ab")
+        assert run(capsys, "enum", q, w) == (0, "(true)\n", "")
+
+    def test_oracle_disagreement(self, files, capsys, monkeypatch):
+        # The engine drops its first answer; the printed rest still goes out.
+        monkeypatch.setattr(cli, "enumerate_results", lambda p, ix: list(enumerate_results(p, ix))[1:])
+        q = files("q.fcq", "ans(x) :- u = x.y")
+        w = files("w.txt", "ab")
+        code, out, err = run(capsys, "enum", q, w, "--oracle")
+        assert code == 3 and len(out.splitlines()) == 2
+        assert "engine disagrees with the brute-force oracle" in err
+
+    def test_oracle_bound_skips_the_cross_check(self, files, capsys):
+        q = files("q.fcq", "ans(x) :- u = x.y")
+        w = files("w.txt", "ab" * 7 + "a")
+        code, out, err = run(capsys, "enum", q, w, "--oracle")
+        assert code == 0 and len(out.splitlines()) == 16
+        assert "word of length 15 exceeds the oracle bound; skipping the cross-check" in err
 
 
 class TestPattern:

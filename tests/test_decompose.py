@@ -369,6 +369,32 @@ class TestGoldenOutputs:
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
+class TestPartnerRuleDigest:
+    # sha256 of the text below as printed when the partner case of
+    # decompose_atom_with_constraints was still built in four branches: every
+    # right side of 1-6 symbols over y, x1, x2 with left side z, under every
+    # set of at most two pairs of its variables.  Introduced names are sorted,
+    # so the text does not depend on the hash seed.
+    DIGEST = "caf7b48f265cffc1c4d8afa9db0ce94afbe2286b91b5aac8b6dfd7e1cd040d8c"
+
+    def test_atom_outputs_unchanged(self):
+        z = v("z")
+        lines = []
+        for length in range(1, 7):
+            for rhs in itertools.product(pat("y x1 x2"), repeat=length):
+                eq = WordEquation(z, rhs)
+                names = sorted(x.name for x in eq.variables())
+                for r in range(3):
+                    for chosen in itertools.combinations(itertools.combinations(names, 2), r):
+                        two = decompose_atom_with_constraints(eq, [frozenset(map(v, c)) for c in chosen])
+                        intro = "" if two is None else " ".join(sorted(x.name for x in two.introduced))
+                        lines.append(f"{'.'.join(x.name for x in rhs)} | {' '.join('.'.join(c) for c in chosen)}"
+                                     f" | {_shown(two)} | {intro}")
+        text = "\n".join(lines) + "\n"
+        assert len(lines) == 18534
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
 class TestBracketings:
     def test_shared_repeat_localized(self):
         # ((x1.x2).(x1.x2)) shares one introduced variable and is acyclic.
@@ -555,6 +581,23 @@ class TestAtomDecomposition:
             for c in pairs:
                 assert any(c <= atom.variables() for atom in two.equations)
 
+
+    def test_partner_in_a_longer_core_is_refused(self):
+        # y pairs with z and with x1, but x1.x2 is no single variable to sit
+        # next to the nested y's.
+        eq = WordEquation(v("z"), pat("y x1 x2"))
+        assert decompose_atom_with_constraints(
+            eq, [frozenset({v("z"), v("y")}), frozenset({v("y"), v("x1")})]) is None
+
+    def test_all_partner_right_side_nests(self):
+        two = decompose_atom_with_constraints(WordEquation(v("z"), pat("y y y")), [frozenset({v("z"), v("y")})])
+        assert _shown(two) == "z1 = y.y; z = y.z1"
+
+    def test_partner_wraps_a_one_variable_core(self):
+        eq = WordEquation(v("z"), pat("y x1 y"))
+        two = decompose_atom_with_constraints(
+            eq, [frozenset({v("z"), v("y")}), frozenset({v("y"), v("x1")})])
+        assert _shown(two) == "z1 = y.x1; z = z1.y"
 
     def test_matches_find_on_every_acyclic_pattern(self):
         # Without pairs the planner's route is find's route: equal factors

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -25,11 +26,14 @@ from wordeq.index import build_index
 from wordeq.model import (
     CyclicQueryError,
     HasConstraintsError,
+    RConcat,
     REmpty,
     RegularConstraint,
     SmallEquation,
     UNIVERSE,
+    WordEquation,
     gyo,
+    regex_fold,
 )
 from wordeq.nfa import thompson
 from wordeq.oracle import brute_evaluate
@@ -1000,3 +1004,39 @@ class TestReversal:
             assert self.answers(backward, w[::-1]) == reversed_answers, (text, w)
             assert model_check(boolean, build_index(w)) == bool(got), (text, w)
             assert model_check(forward, build_index(w)) == bool(got), (text, w)
+
+    @staticmethod
+    def mirrored(q):
+        """The query with every right side and every regex reversed."""
+        def combine(node, operands):
+            if isinstance(node, RConcat):
+                return RConcat(operands[1], operands[0])
+            return type(node)(*operands) if operands else node
+
+        return replace(q, equations=tuple(WordEquation(eq.lhs, eq.rhs[::-1]) for eq in q.equations),
+                       constraints=tuple(RegularConstraint(c.var, regex_fold(c.regex, combine))
+                                         for c in q.constraints))
+
+    def test_generated_queries(self):
+        """The same checks on generated queries, each on one seeded word of
+        8-60 letters; the reversed query must plan iff the query does."""
+        rng = random.Random(5)
+        seen = {"cyclic": 0, "empty": 0, "answers": 0}
+        for k in range(300):
+            q = random_fccq(rng) if k % 2 else random_fccq_wide(rng)
+            try:
+                forward = plan(q)
+            except CyclicQueryError:
+                with pytest.raises(CyclicQueryError):
+                    plan(self.mirrored(q))
+                seen["cyclic"] += 1
+                continue
+            backward = plan(self.mirrored(q))
+            n = rng.randint(8, 60)
+            w = rng.choice(["".join(rng.choice("ab") for _ in range(n)), ("ab" * n)[:n], "a" * n, ("aab" * n)[:n]])
+            got = self.answers(forward, w)
+            assert self.answers(backward, w[::-1]) == {tuple(s[::-1] for s in a) for a in got}, (q, w)
+            assert model_check(forward, build_index(w)) == bool(got), (q, w)
+            assert model_check(backward, build_index(w[::-1])) == bool(got), (q, w)
+            seen["answers" if got else "empty"] += 1
+        assert min(seen.values()) >= 30, seen
