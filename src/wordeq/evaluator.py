@@ -23,7 +23,11 @@ so `check` of `x in /(a|b)*/` lists no factor.
 
 Relations are generated from the join tree's most selective node outward, in
 BFS order, each child only for the ids its parent's rows allow, so dangling
-tuples are mostly never built.  A binary child `z = x.y` that shares z and
+tuples are mostly never built.  That root is the first grounded equation (the
+n + 1 cuts of the word), else the first square `z = x.x` (a free one lists
+the word's distinct squares, fewer than 2n), else the regular constraint with
+the fewest members, else node 0; so `x = y.y, x in /a(a|b)*/` runs its regex
+only among the squares.  A binary child `z = x.y` that shares z and
 one or both of x and y with its parent is generated from the parent's rows
 instead (Yannakakis: generate only what the semi-join keeps): two of its
 variables fix the third, so each distinct parent value yields at most one
@@ -230,18 +234,16 @@ def _rows(ix: WordIndex, atom, allowed: dict[Variable, AbstractSet[int]],
         fids = range(ix.n + 1) if side == x else ix.suffix_ids()
         return (side,), zip(fids if ids is None else [f for f in fids if f in ids])
     zs = allowed.get(z)
-    if kept == [z]:
-        # Every factor has a cut; a square only the middle one.
-        ids = ix.all_factor_ids() if zs is None else zs
-        return (z,), zip([f for f in ids if ix.square_root(f) is not None] if square else ids)
-    if len(kept) == 1 and not square:
-        # z = x.epsilon or z = epsilon.y: every factor.
+    if square:
+        # z = x.x: only the middle cut can give equal halves.  A free z is one
+        # of the word's distinct squares, fewer than 2n, listed once.
+        fids = ix.square_ids() if zs is None else zs
+        roots = zip(fids, map(ix.square_root, fids))
+        return (z, x), (row for row in roots if row[1] is not None)
+    if len(kept) == 1:
+        # Every factor has a cut, and z = x.epsilon or z = epsilon.y: every factor.
         ids = allowed.get(kept[0])
         return (kept[0],), zip(ix.all_factor_ids() if ids is None else ids)
-    if square:
-        # z = x.x: only the middle cut can give equal halves.
-        roots = ((f, ix.square_root(f)) for f in (ix.all_factor_ids() if zs is None else zs))
-        return (z, x), (row for row in roots if row[1] is not None)
     if zs is None:
         for side, walk in ((x, _prefix_walk), (y, _suffix_walk)):
             ids = allowed.get(side)
@@ -338,11 +340,16 @@ def _orientation(tree: JoinTree, root: int = 0) -> tuple[list[int], list[list[in
 
 def _root(tree: JoinTree, ix: WordIndex, sized: dict[int, Relation],
           keeps: list[set[Variable]]) -> int:
-    """The most selective node: the first grounded equation, else the regular
+    """The most selective node: the first grounded equation (n + 1 cuts),
+    else the first square `z = x.x` (fewer than 2n rows), else the regular
     constraint with the fewest members, else node 0.  The constraints sized
     here keep their relations in `sized`, so no regex runs twice."""
-    for i, node in enumerate(tree.nodes):
-        if isinstance(node, SmallEquation) and node.lhs.is_universe:
+    equations = [(i, node) for i, node in enumerate(tree.nodes) if isinstance(node, SmallEquation)]
+    for i, node in equations:
+        if node.lhs.is_universe:
+            return i
+    for i, node in equations:
+        if len(node.rhs) == 2 and node.rhs[0] == node.rhs[1]:
             return i
     for i, node in enumerate(tree.nodes):
         if isinstance(node, RegularConstraint) and not node.var.is_universe:

@@ -35,11 +35,13 @@ each longest match: O(n) memory.
 `regex_members(regex, among)` checks only the given ids: the lazy DFA runs
 once from each distinct start among them, up to their farthest end, and an
 accepted span is a member iff its key is among them.  The evaluator roots
-its join tree at the first grounded equation, else at the regular constraint
-with the fewest members, else at node 0, and passes each constraint below the
-root the ids its parent allows.  So a constraint on `u` is one run over the
-word, and one on the prefixes of the word (`u = x.y, x in /a*b/`) is one run
-from offset 0 that stops where the DFA dies.  With no `among` (a constraint
+its join tree at the first grounded equation, else at the first square, else
+at the regular constraint with the fewest members, else at node 0, and passes
+each constraint below the root the ids its parent allows.  So a constraint on
+`u` is one run over the word, one on the prefixes of the word
+(`u = x.y, x in /a*b/`) is one run from offset 0 that stops where the DFA
+dies, and one below a square (`x = y.y, x in /a(a|b)*/`) runs only from the
+starts of the word's squares.  With no `among` (a constraint
 sized for the root choice) the DFA runs from every start, at most O(n^2)
 steps, and keeps the accepted spans longer than LPF at their start, keys
 computed with no table; a start stops early where the DFA dies, or where it
@@ -56,20 +58,23 @@ holds about n^2/2 ints (~2k for |w| = 64, ~8M for |w| = 4000) and is built
 only to cut factors: by `splits` of any factor but the whole word, after
 which a cut is two list reads, and by the evaluator's walks of a free left
 side.  No other lookup reads it.  `all_factor_ids()` is the LPF ranges, with
-no table.
+no table.  Next to it, `square_ids()` lists the distinct squares r.r, fewer
+than 2n (Fraenkel & Simpson 1998), once per index: one big-integer XOR per
+half length finds them, and LPF keeps their leftmost occurrences.
 Relations of non-grounded equations read the table: a left side restricted
 to m factors costs their cuts, sum |z| + 1 <= m (n + 1); a free left side
 with one right side restricted to ids of k distinct lengths walks the table
 from their occurrences, O(n^2 k).  The evaluator asks for the cuts only of an
 atom that keeps two or more of its variables; one that keeps at most one
 lists factors, O(n^2), and so does not call `splits` at all, and neither does
-a square, whose one middle cut `square_root` finds.  An atom whose parent
+a square: a free one reads `square_ids()`, and one restricted to some ids
+finds each one's middle cut with `square_root`.  An atom whose parent
 fixes two of its variables needs no cut and no table: per parent row one
 `occurs_at` (a `startswith`) and at most one `factor_at` or `id_of_word`.
 """
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, floordiv, mul
 from typing import AbstractSet, Iterable, Iterator, Optional
 
@@ -205,6 +210,7 @@ class WordIndex:
         self._word_cuts: Optional[list[tuple[int, int]]] = None
         self._lpf: Optional[tuple[list[int], list[int]]] = None
         self._table: Optional[list[list[int]]] = None
+        self._squares: Optional[list[int]] = None
 
     # -- identity -------------------------------------------------------------
 
@@ -299,6 +305,44 @@ class WordIndex:
         for i, longest in enumerate(self._previous_factors()[0]):
             factors += range(i * stride + longest + 1, i * stride + n - i + 1)
         return factors
+
+    def square_ids(self) -> list[int]:
+        """The ids of the distinct squares r.r, epsilon first, built once;
+        callers must not modify it.  The word's code points are 32-bit lanes
+        of one integer.  Per half length h, XOR with itself shifted by h
+        letters leaves lane i + h zero iff w[i] == w[i + h], and a run of h or
+        more zero lanes from p to z holds the squares of half h at p..z - h.
+        One at q >= p + h repeats the one at q - h, so only p..p + h - 1 are
+        read, and w[q:q + 2h] is its own leftmost occurrence iff LPF[q] < 2h.
+        A square's second half is a previous factor, so h stops at the
+        longest one.  Each shift is a few big-integer operations, and each
+        run a `bytes.find` and one `compress`: O(n^2) work in C at most, with
+        Python steps only per run."""
+        if self._squares is None:
+            n, stride = self.n, self._stride
+            lpf = self._previous_factors()[0]
+            code = int.from_bytes(self.word.encode("utf-32-be", "surrogatepass"), "big")
+            # Code points are below 2^21, so adding 0x7fffffff to a lane sets
+            # its top bit, and carries no further, iff the lane is not zero.
+            below = int.from_bytes(b"\x7f\xff\xff\xff" * n, "big")
+            top = int.from_bytes(b"\x80\0\0\0" * n, "big")
+            squares = [EPSILON_ID]
+            for half in range(1, min(n // 2, max(lpf, default=0)) + 1):
+                lanes = ((code ^ code >> 32 * half) + below) & top
+                # differ[i] is 0 iff w[i] == w[i + half], for i < n - half.
+                differ = lanes.to_bytes(4 * n, "big")[4 * half::4]
+                run, length = bytes(half), 2 * half
+                p = differ.find(run)
+                while p >= 0:
+                    z = differ.find(0x80, p + half)
+                    if z < 0:
+                        z = n - half
+                    last = min(z - half, p + half - 1) + 1
+                    squares += compress(range(p * stride + length, last * stride + length, stride),
+                                        map(length.__gt__, lpf[p:last]))
+                    p = differ.find(run, z)
+            self._squares = squares
+        return self._squares
 
     # -- concatenation ----------------------------------------------------------
 

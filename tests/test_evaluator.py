@@ -258,10 +258,26 @@ class TestRestrictedMaterialize:
         order = _materialize_tree(p.tree, ix, ())[1]
         assert p.tree.nodes[order[0]].var == v("z1")   # /a+/ has fewer members than /a(a|b)*/
 
+    @pytest.mark.parametrize("text, root", [
+        ("ans(x) :- x = y.y, x in /a(a|b)*/", "x = y.y"),
+        ("ans(x) :- x in /aa/, z = x.y, x = y.y", "x = y.y"),
+        ("ans(x) :- x = y.y, u = z.x", "u = z.x"),
+    ])
+    def test_free_square_is_the_root(self, ab, text, root):
+        """A square has fewer than 2n rows, so it is the root after a
+        grounded equation and before any constraint, however few members
+        that has."""
+        from wordeq.evaluator import _materialize_tree
+        p = plan(parse_query(text, ab))
+        order = _materialize_tree(p.tree, build_index("aababbabab"), ())[1]
+        assert str(p.tree.nodes[order[0]]) == root
+
     @pytest.mark.parametrize("text, unrestricted", [
         (JOIN, [True, True]),
         # Behind a grounded root a constraint checks only the ids it is given.
         ("ans(x,y) :- u = x.y, x in /a*b/", [False]),
+        # Below a free square it checks only the word's squares.
+        ("ans(x) :- x = y.y, x in /a(a|b)*/", [False]),
     ])
     def test_each_regex_runs_once(self, ab, monkeypatch, text, unrestricted):
         from wordeq.index import WordIndex
@@ -300,6 +316,18 @@ class TestRestrictedMaterialize:
         p = plan(parse_query(JOIN, ab))
         rows = self._rows_materialized(monkeypatch, lambda: model_check(p, build_index(w)))
         assert 0 < rows < 20 * n * n
+
+    def test_square_rows_stay_linear(self, ab, monkeypatch):
+        """The free square is the root and lists the word's distinct
+        squares, fewer than 2n; the constraint below checks only those.  So
+        200 letters materialize at most 4n + 2 rows, not the members of the
+        constraint, about half the word's factors."""
+        n = 200
+        rng = random.Random(1)
+        w = "".join(rng.choice("ab") for _ in range(n))
+        p = plan(parse_query("ans(x) :- x = y.y, x in /a(a|b)*/", ab))
+        rows = self._rows_materialized(monkeypatch, lambda: list(enumerate_results(p, build_index(w))))
+        assert 0 < rows <= 4 * n + 2
 
     @pytest.mark.parametrize("text", [
         "ans() :- u = x.y.x, y = a.b, a in /b/",
@@ -945,6 +973,65 @@ class TestWidenedDifferential:
                     assert rendered == sorted(json.dumps(r.to_json_obj(ix))
                                               for r in brute_results(q, ix)), (q, prefactor, w)
         assert all(shapes.values()), shapes
+
+
+SQUARE_QUERIES = [
+    "ans(x) :- x = y.y, x in /a(a|b)*/",
+    "ans(x) :- x = y.y",
+    "ans(x,y) :- x = y.y",
+    "ans(y) :- x = y.y",
+    "ans() :- x = y.y, x in /a(a|b)*b/",
+    "ans(x) :- x = y.y, y in /ab*/",
+    "ans(x,z) :- x = y.y, z = x.x",
+    "ans(x) :- x = y.y, y = z.z",
+    "ans(y,z) :- x = y.y, x = z.z",
+    "ans(x,w) :- x = y.y, w = x.z",
+    "ans(x,y) :- x = y.y, u = z.x",
+    "ans(x,z) :- x = y.y, z = y.y.y",
+    "ans(y) :- x = y.y, x in /(ab)*/, y in /a(a|b)*/",
+]
+
+
+class TestSquares:
+    def test_engine_matches_oracle(self, ab):
+        """Square queries, most of them rooted at the free square, equal
+        `brute_evaluate` on every word of at most 7 letters."""
+        for text in SQUARE_QUERIES:
+            q = parse_query(text, ab)
+            p = plan(q)
+            for w in all_words("ab", 7):
+                expected = brute_evaluate(q, w)
+                assert TestReversal.answers(p, w) == expected, (text, w)
+                assert model_check(p, build_index(w)) == bool(expected), (text, w)
+
+
+class TestRootInvariance:
+    """Metamorphic: the answers do not depend on the node `_root` picks, and
+    `check` agrees with `enum` under every root."""
+
+    def test_every_root_gives_the_same_answers(self, ab, monkeypatch):
+        from wordeq import evaluator
+        rng = random.Random(17)
+        queries = [parse_query(text, ab) for text in SQUARE_QUERIES]
+        while len(queries) < 120:
+            queries.append(random_fccq(rng) if len(queries) % 2 else random_fccq_wide(rng))
+        seen = {"cyclic": 0, "empty": 0, "answers": 0}
+        for q in queries:
+            try:
+                p = plan(q)
+            except CyclicQueryError:
+                seen["cyclic"] += 1
+                continue
+            n = rng.randint(8, 60)
+            w = rng.choice(["".join(rng.choice("ab") for _ in range(n)), ("ab" * n)[:n], "a" * n, ("aab" * n)[:n]])
+            expected = TestReversal.answers(p, w)
+            for root in range(len(p.tree.nodes)):
+                monkeypatch.setattr(evaluator, "_root", lambda *args, root=root: root)
+                assert TestReversal.answers(p, w) == expected, (q, w, root)
+                assert model_check(p, build_index(w)) == bool(expected), (q, w, root)
+            monkeypatch.undo()
+            seen["answers" if expected else "empty"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 def reversed_query(text: str) -> str:

@@ -475,6 +475,63 @@ class TestWholeWordSplits:
         assert ix._table is None
 
 
+def periodic(rng: random.Random, n: int, period: int, mutations: int = 2) -> str:
+    """A random primitive block of both letters repeated to length n, with a
+    few letters flipped near fixed fractions of the word: the benchmark's
+    periodic words, made the same way."""
+    while True:
+        block = "".join(rng.choice("ab") for _ in range(period))
+        if "a" in block and "b" in block and all(
+                block != block[:d] * (period // d) for d in range(1, period) if period % d == 0):
+            break
+    w = list((block * (n // period + 1))[:n])
+    for k in range(1, mutations + 1):
+        pos = n * k // (mutations + 1) + rng.randint(-2, 2)
+        w[pos] = "b" if w[pos] == "a" else "a"
+    return "".join(w)
+
+
+class TestSquareIds:
+    """`square_ids` against the factors whose middle cut has equal halves."""
+
+    @staticmethod
+    def check(w: str) -> None:
+        ix = build_index(w)
+        got = ix.square_ids()
+        assert len(got) == len(set(got)), w
+        assert set(got) == {f for f in ix.all_factor_ids() if ix.square_root(f) is not None}, w
+
+    def test_every_short_word(self):
+        for w in all_words("ab", 12):
+            self.check(w)
+
+    @pytest.mark.parametrize("letters", ["abc", "a\xe9€\U0001F600", "a\u0161\u2161\U0001F661", "a\0"])
+    def test_seeded_words(self, letters):
+        """Letters above U+00FF fill more than one byte of their lane (the
+        third set's letters share their low byte, 0x61), and NUL is a zero
+        lane of its own."""
+        rng = random.Random(7)
+        for _ in range(200):
+            self.check("".join(rng.choice(letters) for _ in range(rng.randint(0, 80))))
+
+    def test_periodic_words(self):
+        rng = random.Random(11)
+        for n in (64, 100, 257, 600, 1000):
+            for period in (2, 3, 4, 5, 7):
+                self.check(periodic(rng, n, period))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 301])
+    def test_one_letter(self, n):
+        self.check("a" * n)
+        assert len(build_index("a" * n).square_ids()) == n // 2 + 1
+
+    def test_epsilon_and_built_once(self):
+        ix = build_index("abaabaab")
+        squares = ix.square_ids()
+        assert squares[0] == EPSILON_ID
+        assert ix.square_ids() is squares
+
+
 class TestConcat:
     def test_banana(self):
         ix = build_index("banana")
